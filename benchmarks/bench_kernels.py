@@ -1,19 +1,23 @@
-"""Benchmark the hot kernels: pure-Python backend vs compiled extension.
+"""Benchmark the enumeration kernel per backend, and the fused census.
 
-Times the two operations that dominate a census run, on identical inputs:
+Times, on identical inputs:
 
-* exact-cover enumeration of every pairing scheme of the dimension;
-* identity classification of every scheme's structure tensor.
+* exact-cover enumeration of every pairing scheme of the dimension, once
+  per available kernel backend (pure-Python, and compiled when built);
+* the whole census of the dimension (enumeration, mask classification,
+  witnesses and the CSV write to memory) with the active backend.
 
 Usage: python benchmarks/bench_kernels.py [-n 7] [--repeat 3]
 """
 
 import argparse
+import io
 import time
 
-from oddcross import build_tensor, enumerate_schemes, feasible_dimension
+from oddcross import feasible_dimension
 from oddcross import kernels
 from oddcross.schemes import _axis_choice_masks
+from oddcross.verify import census, write_census_csv
 
 
 def best_of(repeat, fn):
@@ -33,15 +37,12 @@ def main() -> int:
 
     dim = feasible_dimension(args.n)
     masks = _axis_choice_masks(dim.n)
-    tables = [
-        build_tensor(s).flat_arrays() for s in enumerate_schemes(dim)
-    ]
-    print(f"n={dim.n}: {len(tables)} schemes, {dim.pair_count} pairs")
+    print(f"n={dim.n}: {dim.pair_count} pairs")
     print(f"available backends: {', '.join(kernels.available_backends())}")
     print()
 
     results = {}
-    header = f"{'backend':<14} {'enumerate':>12} {'classify':>12}"
+    header = f"{'backend':<14} {'enumerate':>12}"
     print(header)
     print("-" * len(header))
     for name in kernels.available_backends():
@@ -49,24 +50,24 @@ def main() -> int:
         t_enum, branches = best_of(
             args.repeat, lambda: backend.enumerate_covers(masks, (), None, 2**62)
         )
-        t_cls, counts = best_of(
-            args.repeat,
-            lambda: [
-                backend.classify_product_table(dim.n, target, sign)
-                for target, sign in tables
-            ],
-        )
-        results[name] = (t_enum, t_cls, branches, counts)
-        print(f"{name:<14} {t_enum * 1e3:>10.2f}ms {t_cls * 1e3:>10.2f}ms")
+        results[name] = (t_enum, branches)
+        print(f"{name:<14} {t_enum * 1e3:>10.2f}ms")
 
     names = list(results)
     if len(names) == 2:
-        (e1, c1, b1, k1), (e2, c2, b2, k2) = results[names[0]], results[names[1]]
-        if b1 != b2 or k1 != k2:
-            print("\nBACKEND MISMATCH: results differ between backends")
+        (e1, b1), (e2, b2) = results[names[0]], results[names[1]]
+        if b1 != b2:
+            print("\nBACKEND MISMATCH: branches differ between backends")
             return 1
-        print(f"\nspeedup ({names[0]} / {names[1]}): "
-              f"enumerate x{e1 / e2:.1f}, classify x{c1 / c2:.1f}")
+        print(f"\nspeedup ({names[0]} / {names[1]}): enumerate x{e1 / e2:.1f}")
+
+    t_census, count = best_of(
+        args.repeat, lambda: write_census_csv(census(dim), io.StringIO())
+    )
+    print(
+        f"\ncensus + CSV ({kernels.BACKEND}): {count} schemes in "
+        f"{t_census * 1e3:.1f}ms ({count / t_census:,.0f} schemes/s)"
+    )
     return 0
 
 

@@ -19,6 +19,7 @@ from .errors import (
     SchemeTensorMismatchError,
     SchemeValidationError,
     SelfPairError,
+    TensorValidationError,
 )
 from .kernels import BACKEND as KERNEL_BACKEND
 from .schemes import (

@@ -1,7 +1,7 @@
-"""Pure-Python kernels: exact-cover enumeration and identity classification.
+"""Pure-Python kernel: exact-cover enumeration.
 
 This module is the reference backend. ``oddcross._speedups`` is a compiled
-twin with identical semantics; ``oddcross.kernels`` picks one at import
+twin of ``enumerate_covers``; ``oddcross.kernels`` picks one at import
 time. Both operate on plain integers and lists so results are directly
 comparable.
 """
@@ -10,6 +10,14 @@ BACKEND_NAME = "pure-python"
 
 # Pure Python integers are unbounded, so any pair count works.
 MAX_PAIR_BITS = None
+
+
+def _check_choice(axis_masks, d, choice):
+    # Without this a negative choice would silently wrap to the last matching.
+    if not 0 <= choice < len(axis_masks[d]):
+        raise ValueError(
+            f"choice {choice} for axis {d + 1} is outside 0..{len(axis_masks[d]) - 1}"
+        )
 
 
 def enumerate_covers(axis_masks, prefix=(), resume_after=None, limit=2**62):
@@ -23,7 +31,8 @@ def enumerate_covers(axis_masks, prefix=(), resume_after=None, limit=2**62):
     ``prefix`` pins the first choices (subtree restriction), ``resume_after``
     skips everything up to and including a previously emitted branch, and
     ``limit`` caps the number of branches returned, which makes the scan
-    restartable in chunks.
+    restartable in chunks. A prefix or resume choice outside
+    ``0..len(candidates)-1`` raises ValueError.
     """
     n_axes = len(axis_masks)
     out = []
@@ -34,6 +43,7 @@ def enumerate_covers(axis_masks, prefix=(), resume_after=None, limit=2**62):
     idx = [0] * n_axes
     used = [0] * (n_axes + 1)
     for d, choice in enumerate(prefix):
+        _check_choice(axis_masks, d, choice)
         mask = axis_masks[d][choice]
         if mask & used[d]:
             return out  # prefix already conflicts: empty subtree
@@ -48,6 +58,7 @@ def enumerate_covers(axis_masks, prefix=(), resume_after=None, limit=2**62):
             raise ValueError("resume point lies outside the requested prefix")
         for d in range(p, n_axes):
             choice = resume_after[d]
+            _check_choice(axis_masks, d, choice)
             mask = axis_masks[d][choice]
             if mask & used[d]:
                 raise ValueError("resume point is not a valid branch")
@@ -84,69 +95,3 @@ def enumerate_covers(axis_masks, prefix=(), resume_after=None, limit=2**62):
             if depth >= p:
                 idx[depth] += 1
     return out
-
-
-def classify_product_table(n, target, sign):
-    """Decide both identity-level properties of a signed product table.
-
-    ``target`` and ``sign`` are flattened n*n arrays over ordered index
-    pairs (0-based): entry (i, j) says e_i x e_j = sign * e_target, with
-    target = -1 and sign = 0 on the diagonal.
-
-    Returns ``(orthogonality_zero, xab_zero)``:
-
-    * ``orthogonality_zero``: the polynomials (AxB).A and (AxB).B vanish
-      identically, which holds exactly when the table is antisymmetric
-      under swapping the output slot with either input slot.
-    * ``xab_zero``: the quartic |AxB|^2 - |A|^2|B|^2 + (A.B)^2 is the zero
-      polynomial, decided by exact integer coefficient accumulation over
-      monomials a_i a_l b_j b_m.
-    """
-    ortho = True
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            k = target[i * n + j]
-            s = sign[i * n + j]
-            # Swap output with first input: need L[k,j,i] == -L[i,j,k].
-            if target[k * n + j] != i or sign[k * n + j] != -s:
-                ortho = False
-                break
-            # Swap output with second input: need L[i,k,j] == -L[i,j,k].
-            if target[i * n + k] != j or sign[i * n + k] != -s:
-                ortho = False
-                break
-        if not ortho:
-            break
-
-    # Monomial index for an unordered pair with repetition, i <= l.
-    npairs = n * (n + 1) // 2
-
-    def pr(i, l):
-        if i > l:
-            i, l = l, i
-        return i * n - i * (i - 1) // 2 + (l - i)
-
-    coeff = [0] * (npairs * npairs)
-
-    # |AxB|^2: square each output component's bilinear form.
-    for k in range(n):
-        entries = [
-            (i, j, sign[i * n + j])
-            for i in range(n)
-            for j in range(n)
-            if i != j and target[i * n + j] == k
-        ]
-        for i1, j1, s1 in entries:
-            for i2, j2, s2 in entries:
-                coeff[pr(i1, i2) * npairs + pr(j1, j2)] += s1 * s2
-
-    # -|A|^2 |B|^2 + (A.B)^2.
-    for i in range(n):
-        for j in range(n):
-            coeff[pr(i, i) * npairs + pr(j, j)] -= 1
-            coeff[pr(i, j) * npairs + pr(i, j)] += 1
-
-    xab_zero = not any(coeff)
-    return ortho, xab_zero

@@ -146,10 +146,7 @@ def _cmd_verify(args) -> int:
     print(f"orthogonality_zero: {_bool_text(ortho_zero)}")
     print(f"xab_zero: {_bool_text(xab_zero)}")
     if not xab_zero:
-        witness = find_witness(tensor, scheme, args.seed)
-        if witness is None:
-            print("witness: none found within the search budget")
-            return 0
+        witness = find_witness(tensor, scheme)
         a, b = witness
         report = defect_report(scheme, a, b, tensor=tensor)
         print(f"witness: {format_witness(witness)}")
@@ -167,7 +164,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_census(args) -> int:
     dim = feasible_dimension(args.n)
-    records = census(dim, limit=args.limit, jobs=args.jobs, seed=args.seed)
+    records = census(dim, limit=args.limit, jobs=args.jobs)
     with _open_output(args.output) as out:
         count = write_census_csv(records, out)
     print(f"census: {count} schemes classified (n={args.n})", file=sys.stderr)
@@ -178,6 +175,9 @@ def _cmd_tables(args) -> int:
     report, ok = reproduce_tables()
     print(report, end="")
     return 0 if ok else 2
+
+
+_SEED_HELP = "accepted for compatibility; witnesses are constructed, so it has no effect"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="identity-level classification of one scheme")
     p.add_argument("--scheme", required=True)
     p.add_argument("-n", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("census", help="classify every scheme of a dimension")
@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("-o", "--output", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("tables", help="reproduce the embedded reference tables")

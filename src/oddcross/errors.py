@@ -49,6 +49,10 @@ class MissingPairError(SchemeValidationError):
         super().__init__(f"pair {pair[0]}-{pair[1]} is not assigned to any axis")
 
 
+class TensorValidationError(OddCrossError):
+    """Flat target/sign arrays that do not describe a signed scheme product."""
+
+
 class DimensionMismatchError(OddCrossError):
     """Vectors and tensors of different dimensions were combined."""
 

@@ -1,11 +1,11 @@
 """Kernel backend selection.
 
-The hot loops (exact-cover enumeration and per-table identity
-classification) exist twice: a compiled Cython extension
-(``oddcross._speedups``) and a pure-Python twin (``oddcross._kernels_py``)
-with identical semantics. The compiled backend is used when importable;
-set ``ODDCROSS_PURE=1`` to force the pure backend. ``benchmarks/`` compares
-the two.
+The exact-cover enumeration (``enumerate_covers``) exists twice: a
+compiled Cython extension (``oddcross._speedups``) and a pure-Python twin
+(``oddcross._kernels_py``) with identical semantics. The compiled backend
+is used when importable; set ``ODDCROSS_PURE=1`` to force the pure backend.
+``benchmarks/`` compares the two. Identity classification is not a kernel:
+it is decided in ``oddcross.verify`` by the Plücker criterion.
 """
 
 import os

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence, Tuple
 
-from .errors import DimensionMismatchError, SelfPairError
+from .errors import DimensionMismatchError, SelfPairError, TensorValidationError
 from .schemes import Dimension, Pair, Scheme
 
 Vector = Sequence
@@ -34,6 +34,40 @@ def orient_pair(pair: Pair, axis: int) -> Tuple[int, int]:
     return lo, hi
 
 
+def _validate(n: int, target: list, sign: list) -> None:
+    size = n * n
+    if len(target) != size or len(sign) != size:
+        raise TensorValidationError(
+            f"target and sign need {size} entries for n={n}, "
+            f"got {len(target)} and {len(sign)}"
+        )
+    used = [0] * n  # per axis: bitmask of the indices its pairs hold
+    for i in range(n):
+        row = i * n
+        if target[row + i] != -1 or sign[row + i] != 0:
+            raise TensorValidationError(f"diagonal entry ({i + 1}, {i + 1}) must be (-1, 0)")
+        for j in range(i + 1, n):
+            k = target[row + j]
+            s = sign[row + j]
+            if not 0 <= k < n or k == i or k == j:
+                raise TensorValidationError(
+                    f"entry ({i + 1}, {j + 1}) targets axis {k + 1}, "
+                    f"need an axis in 1..{n} other than {i + 1} and {j + 1}"
+                )
+            if s != 1 and s != -1:
+                raise TensorValidationError(f"entry ({i + 1}, {j + 1}) has sign {s}, need +-1")
+            if target[j * n + i] != k or sign[j * n + i] != -s:
+                raise TensorValidationError(
+                    f"entry ({j + 1}, {i + 1}) is not the negation of ({i + 1}, {j + 1})"
+                )
+            members = (1 << i) | (1 << j)
+            if used[k] & members:
+                raise TensorValidationError(
+                    f"axis {k + 1} holds two pairs sharing an index with {i + 1}-{j + 1}"
+                )
+            used[k] |= members
+
+
 class TensorEntry(NamedTuple):
     axis: int
     sign: int
@@ -44,12 +78,21 @@ class StructureTensor:
 
     Stored as flat n*n target/sign arrays (0-based internally, 1-based in
     the API); the (j, i) entry is always the negation of (i, j).
+
+    The constructor rejects, with TensorValidationError, any arrays that are
+    not a scheme with signs: wrong lengths, a diagonal other than (-1, 0),
+    an off-diagonal target out of range or equal to i or j, a sign other
+    than +-1, a (j, i) entry that is not (same target, -sign), or two
+    pairs on one axis that share an index. With n axes of at most (n-1)/2
+    disjoint pairs each holding all n(n-1)/2 pairs, every axis then carries
+    a perfect matching, which the identity classifier relies on.
     """
 
     def __init__(self, dim: Dimension, target: Sequence[int], sign: Sequence[int]):
         self.dim = dim
         self._target = list(target)
         self._sign = list(sign)
+        _validate(dim.n, self._target, self._sign)
 
     @classmethod
     def from_scheme(cls, scheme: Scheme) -> "StructureTensor":

@@ -1,0 +1,73 @@
+"""The exact coefficient expansion of X_AB: the test oracle for the
+identity classifier in ``oddcross.verify``.
+
+It accumulates the integer coefficient of every monomial a_i a_l b_j b_m
+of X_AB, an n^2 x n^2 table per product, so its X_AB verdict does not
+depend on the Plücker criterion that the package uses.
+"""
+
+
+def classify_product_table(n, target, sign):
+    """Decide both identity-level properties of a signed product table.
+
+    ``target`` and ``sign`` are flattened n*n arrays over ordered index
+    pairs (0-based): entry (i, j) says e_i x e_j = sign * e_target, with
+    target = -1 and sign = 0 on the diagonal.
+
+    Returns ``(orthogonality_zero, xab_zero)``:
+
+    * ``orthogonality_zero``: the polynomials (AxB).A and (AxB).B vanish
+      identically, which holds exactly when the table is antisymmetric
+      under swapping the output slot with either input slot.
+    * ``xab_zero``: the quartic |AxB|^2 - |A|^2|B|^2 + (A.B)^2 is the zero
+      polynomial, decided by exact integer coefficient accumulation over
+      monomials a_i a_l b_j b_m.
+    """
+    ortho = True
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            k = target[i * n + j]
+            s = sign[i * n + j]
+            # Swap output with first input: need L[k,j,i] == -L[i,j,k].
+            if target[k * n + j] != i or sign[k * n + j] != -s:
+                ortho = False
+                break
+            # Swap output with second input: need L[i,k,j] == -L[i,j,k].
+            if target[i * n + k] != j or sign[i * n + k] != -s:
+                ortho = False
+                break
+        if not ortho:
+            break
+
+    # Monomial index for an unordered pair with repetition, i <= l.
+    npairs = n * (n + 1) // 2
+
+    def pr(i, l):
+        if i > l:
+            i, l = l, i
+        return i * n - i * (i - 1) // 2 + (l - i)
+
+    coeff = [0] * (npairs * npairs)
+
+    # |AxB|^2: square each output component's bilinear form.
+    for k in range(n):
+        entries = [
+            (i, j, sign[i * n + j])
+            for i in range(n)
+            for j in range(n)
+            if i != j and target[i * n + j] == k
+        ]
+        for i1, j1, s1 in entries:
+            for i2, j2, s2 in entries:
+                coeff[pr(i1, i2) * npairs + pr(j1, j2)] += s1 * s2
+
+    # -|A|^2 |B|^2 + (A.B)^2.
+    for i in range(n):
+        for j in range(n):
+            coeff[pr(i, i) * npairs + pr(j, j)] -= 1
+            coeff[pr(i, j) * npairs + pr(i, j)] += 1
+
+    xab_zero = not any(coeff)
+    return ortho, xab_zero

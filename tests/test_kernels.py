@@ -1,10 +1,11 @@
 """Backend parity: the compiled kernels must match the pure-Python ones."""
 
 import pytest
+from expansion_oracle import classify_product_table
 
 from oddcross import build_tensor, enumerate_schemes, feasible_dimension
 from oddcross import kernels
-from oddcross._kernels_py import classify_product_table, enumerate_covers
+from oddcross._kernels_py import enumerate_covers
 from oddcross.schemes import _axis_choice_masks
 
 compiled = pytest.importorskip(

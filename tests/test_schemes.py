@@ -197,6 +197,17 @@ class TestEnumeration:
             after = batch[-1]
         assert collected == full
 
+    @pytest.mark.parametrize("prefix", [(-1,), (3,), (0, 15)])
+    def test_out_of_range_prefix_rejected(self, dim5, prefix):
+        # (-1,) used to wrap silently to the last matching of axis 1.
+        with pytest.raises(ValueError, match="outside"):
+            list(scheme_branches(dim5, prefix=prefix))
+
+    @pytest.mark.parametrize("resume", [(0, 1, -1, 0, 2), (0, 1, 3, 0, 2)])
+    def test_out_of_range_resume_rejected(self, dim5, resume):
+        with pytest.raises(ValueError, match="outside"):
+            list(scheme_branches(dim5, resume_after=resume))
+
     def test_lazy_stream_large_dimension(self):
         dim9 = feasible_dimension(9)
         first = list(enumerate_schemes(dim9, limit=3))

@@ -8,7 +8,9 @@ from oddcross import (
     DimensionMismatchError,
     Pair,
     SelfPairError,
+    StructureTensor,
     TensorEntry,
+    TensorValidationError,
     build_tensor,
     enumerate_schemes,
     orient_pair,
@@ -232,3 +234,62 @@ class TestPairDeterminant:
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             pair_determinant((1, 2), (3, 4), 1, 3)
+
+
+class TestTensorValidation:
+    def arrays(self, tensor):
+        target, sign = tensor.flat_arrays()
+        return tensor.dim, target, sign
+
+    def test_scheme_tensor_accepted(self, tensor5_row3):
+        dim, target, sign = self.arrays(tensor5_row3)
+        assert StructureTensor(dim, target, sign) == tensor5_row3
+
+    def test_negative_target(self, tensor5_row3):
+        dim, target, sign = self.arrays(tensor5_row3)
+        target[0 * 5 + 1] = target[1 * 5 + 0] = -1
+        with pytest.raises(TensorValidationError, match="targets axis 0"):
+            StructureTensor(dim, target, sign)
+
+    def test_target_collides_with_pair(self, tensor5_row3):
+        dim, target, sign = self.arrays(tensor5_row3)
+        target[0 * 5 + 1] = target[1 * 5 + 0] = 1  # e1 x e2 -> e2
+        with pytest.raises(TensorValidationError, match="other than 1 and 2"):
+            StructureTensor(dim, target, sign)
+
+    def test_sign_not_antisymmetric(self, tensor5_row3):
+        dim, target, sign = self.arrays(tensor5_row3)
+        sign[1 * 5 + 0] = sign[0 * 5 + 1]
+        with pytest.raises(TensorValidationError, match="negation"):
+            StructureTensor(dim, target, sign)
+
+    def test_wrong_length(self, tensor5_row3):
+        dim, target, sign = self.arrays(tensor5_row3)
+        with pytest.raises(TensorValidationError, match="25 entries"):
+            StructureTensor(dim, target[:-1], sign[:-1])
+
+    def test_diagonal(self, tensor5_row3):
+        dim, target, sign = self.arrays(tensor5_row3)
+        sign[2 * 5 + 2] = 1
+        with pytest.raises(TensorValidationError, match="diagonal"):
+            StructureTensor(dim, target, sign)
+
+    def test_sign_not_unit(self, tensor5_row3):
+        dim, target, sign = self.arrays(tensor5_row3)
+        sign[0 * 5 + 1], sign[1 * 5 + 0] = 2, -2
+        with pytest.raises(TensorValidationError, match="sign 2"):
+            StructureTensor(dim, target, sign)
+
+    def test_axis_pairs_overlap(self, tensor5_row3):
+        # Row 3 puts 1-3 on axis 2; moving 1-4 there too (from axis 3)
+        # gives axis 2 two pairs that share index 1.
+        dim, target, sign = self.arrays(tensor5_row3)
+        assert tensor5_row3.lookup(1, 3).axis == 2
+        target[0 * 5 + 3] = target[3 * 5 + 0] = 1
+        with pytest.raises(TensorValidationError, match="sharing an index"):
+            StructureTensor(dim, target, sign)
+
+    def test_error_is_typed(self):
+        from oddcross import OddCrossError
+
+        assert issubclass(TensorValidationError, OddCrossError)

@@ -1,11 +1,17 @@
 import io
+import itertools
 import random
 
 import pytest
+from expansion_oracle import classify_product_table
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddcross import (
     DimensionMismatchError,
     SchemeTensorMismatchError,
+    StructureTensor,
+    branch_scheme,
     build_tensor,
     census,
     defect_report,
@@ -21,6 +27,14 @@ from oddcross import (
     xab_identically_zero,
     xab_pairs,
     xab_tensor,
+)
+from oddcross.schemes import _axis_choice_masks
+from oddcross.verify import (
+    _census_rows,
+    _classify_masks,
+    _layout,
+    _witness,
+    classify_tensor,
 )
 
 
@@ -165,15 +179,148 @@ class TestIdentityDecisions:
         witness = find_witness(tensor7_row2, scheme7_row2, seed=0)
         assert witness is not None
         a, b = witness
-        assert all(-2 <= x <= 2 for x in a + b)
+        assert all(x in (0, 1) for x in a + b)
         assert xab_direct(tensor7_row2, a, b) != 0
 
     def test_witness_deterministic(self, scheme7_row2, tensor7_row2):
+        # Witnesses are constructed, not searched: the seed changes nothing.
         w1 = find_witness(tensor7_row2, scheme7_row2, seed=42)
         w2 = find_witness(tensor7_row2, scheme7_row2, seed=42)
         w3 = find_witness(tensor7_row2, scheme7_row2, seed=43)
-        assert w1 == w2
-        assert w1 != w3  # overwhelmingly likely for distinct seeds
+        assert w1 == w2 == w3 == find_witness(tensor7_row2, scheme7_row2)
+
+    def test_no_witness_for_zero_verdict(self, scheme7_row11, tensor7_row11):
+        assert find_witness(tensor7_row11, scheme7_row11) is None
+
+
+def oracle_verdict(tensor):
+    target, sign = tensor.flat_arrays()
+    return classify_product_table(tensor.dim.n, target, sign)
+
+
+def random_branch(n, rng):
+    """A uniformly ordered depth-first exact cover: a random scheme's branch."""
+    masks = _axis_choice_masks(n)
+    orders = [rng.sample(range(len(m)), len(m)) for m in masks]
+
+    def dfs(depth, used):
+        if depth == n:
+            return ()
+        for choice in orders[depth]:
+            mask = masks[depth][choice]
+            if not mask & used:
+                rest = dfs(depth + 1, used | mask)
+                if rest is not None:
+                    return (choice,) + rest
+        return None
+
+    return dfs(0, 0)
+
+
+class TestPluckerCriterion:
+    """The mask classifier against the exact coefficient expansion."""
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_census_matches_expansion_oracle(self, n):
+        dim = feasible_dimension(n)
+        for rec, scheme in zip(census(dim, witnesses=False), enumerate_schemes(dim)):
+            tensor = build_tensor(scheme)
+            ortho, xab = oracle_verdict(tensor)
+            assert rec.closed == is_closed(scheme)
+            assert (rec.orthogonality_zero, rec.xab_zero) == (ortho, xab)
+            assert classify_tensor(tensor) == (ortho, xab)
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_every_nonzero_scheme_gets_a_witness(self, n):
+        dim = feasible_dimension(n)
+        for rec, scheme in zip(census(dim), enumerate_schemes(dim)):
+            tensor = build_tensor(scheme)
+            if rec.xab_zero:
+                assert rec.witness is None
+                continue
+            a, b = rec.witness
+            assert set(a + b) <= {0, 1}
+            assert xab_direct(tensor, a, b) != 0
+            assert rec.witness == find_witness(tensor, scheme)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rng=st.randoms(use_true_random=False))
+    def test_random_n9_branches(self, rng):
+        dim = feasible_dimension(9)
+        branch = random_branch(9, rng)
+        scheme = branch_scheme(dim, branch)
+        tensor = build_tensor(scheme)
+        ortho, xab = oracle_verdict(tensor)
+        ((closed, xab_zero, witness),) = _census_rows(9, [branch], True)
+        assert closed == is_closed(scheme) == ortho
+        assert xab_zero == xab
+        assert classify_tensor(tensor) == (ortho, xab)
+        assert witness == find_witness(tensor, scheme)
+        if not xab:
+            assert xab_direct(tensor, *witness) != 0
+
+    @pytest.mark.parametrize("k", list(itertools.product((-1, 0, 1), repeat=3)))
+    def test_split_coefficient_rule(self, k):
+        # One 4-subset {1,2,3,4} of n=5 with split coefficients k: bad
+        # exactly when k is neither all 0 nor +-(1, -1, 1), and the witness
+        # then has a nonzero X_AB by the 4-subset formula.
+        layout = _layout(5)
+        cov = sum(1 << (plane * layout.q) for plane in range(3) if k[plane])
+        neg = sum(1 << (plane * layout.q) for plane in range(3) if k[plane] < 0)
+        _, bad = _classify_masks(layout, cov, neg, 0)
+        assert bool(bad) == (k not in ((0, 0, 0), (1, -1, 1), (-1, 1, -1)))
+        if bad:
+            a, b = _witness(layout, cov, neg, bad)
+
+            def det(i, j):
+                return a[i] * b[j] - a[j] * b[i]
+
+            x = k[0] * det(0, 1) * det(2, 3) + k[1] * det(0, 2) * det(1, 3)
+            assert x + k[2] * det(0, 3) * det(1, 2) != 0
+
+    @pytest.mark.parametrize(
+        "flips",
+        [
+            # every fully covered 4-subset keeps k0 == k2, some lose k1 == -k0
+            ["12", "17", "25", "27", "36", "37", "47", "57", "67"],
+            # every fully covered 4-subset keeps k1 == -k0, some lose k2 == k0
+            ["13", "14", "15", "16", "24", "35", "36", "45", "46", "47", "57", "67"],
+        ],
+    )
+    def test_sign_flips_that_keep_part_of_the_criterion(self, scheme7_row11, flips):
+        # Row 11 has X_AB = 0; these sign flips break it while keeping one of
+        # the criterion's conditions on every 4-subset, so a classifier that
+        # tests only that condition would still answer zero.
+        target, sign = build_tensor(scheme7_row11).flat_arrays()
+        for i, j in ((int(f[0]) - 1, int(f[1]) - 1) for f in flips):
+            sign[i * 7 + j], sign[j * 7 + i] = -sign[i * 7 + j], -sign[j * 7 + i]
+        tensor = StructureTensor(scheme7_row11.dim, target, sign)
+        assert oracle_verdict(tensor) == (False, False)
+        assert classify_tensor(tensor) == (False, False)
+        assert xab_direct(tensor, *find_witness(tensor, scheme7_row11)) != 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_tensor_route_with_arbitrary_signs(self, data):
+        # The criterion holds for any signs, not only the canonical ones;
+        # orthogonality then no longer follows from closure.
+        n = data.draw(st.sampled_from([3, 5, 7]))
+        rng = data.draw(st.randoms(use_true_random=False))
+        dim = feasible_dimension(n)
+        scheme = branch_scheme(dim, random_branch(n, rng))
+        target, sign = build_tensor(scheme).flat_arrays()
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.3:
+                    sign[i * n + j], sign[j * n + i] = -sign[i * n + j], -sign[j * n + i]
+        tensor = StructureTensor(dim, target, sign)
+        ortho, xab = oracle_verdict(tensor)
+        assert classify_tensor(tensor) == (ortho, xab)
+        witness = find_witness(tensor, scheme)
+        if xab:
+            assert witness is None
+        else:
+            assert xab_direct(tensor, *witness) != 0
 
 
 class TestCensus:
