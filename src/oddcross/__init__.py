@@ -7,6 +7,7 @@ dimension by exact identity tests.
 """
 
 from .errors import (
+    AxisRangeError,
     BadMatchingError,
     DimensionMismatchError,
     DimensionTooSmallError,
@@ -21,7 +22,7 @@ from .errors import (
     SelfPairError,
     TensorValidationError,
 )
-from .kernels import BACKEND as KERNEL_BACKEND
+from .kernels import BACKEND as KERNEL_BACKEND  # read by perfbench/worker.py
 from .schemes import (
     Dimension,
     Matching,

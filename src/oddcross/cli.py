@@ -164,7 +164,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_census(args) -> int:
     dim = feasible_dimension(args.n)
-    records = census(dim, limit=args.limit, jobs=args.jobs)
+    records = census(dim, limit=args.limit)
     with _open_output(args.output) as out:
         count = write_census_csv(records, out)
     print(f"census: {count} schemes classified (n={args.n})", file=sys.stderr)
@@ -177,6 +177,7 @@ def _cmd_tables(args) -> int:
     return 0 if ok else 2
 
 
+# perfbench/workloads.py passes --seed to census.
 _SEED_HELP = "accepted for compatibility; witnesses are constructed, so it has no effect"
 
 
@@ -223,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="classify every scheme of a dimension")
     p.add_argument("-n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
@@ -238,9 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        print("error: jobs must be >= 1", file=sys.stderr)
-        return 1
     if getattr(args, "limit", None) is not None and args.limit < 1:
         print("error: limit must be >= 1", file=sys.stderr)
         return 1

@@ -17,6 +17,10 @@ class DimensionTooSmallError(FeasibilityError):
     """Dimensions below 3 leave no pairs to distribute."""
 
 
+class AxisRangeError(OddCrossError, IndexError):
+    """An axis number outside 1..n."""
+
+
 class SchemeValidationError(OddCrossError):
     """A candidate pairing scheme violates a structural invariant."""
 

@@ -11,10 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from . import kernels
 from .errors import (
+    AxisRangeError,
     BadMatchingError,
     DimensionTooSmallError,
     DuplicatePairError,
@@ -23,8 +25,6 @@ from .errors import (
     SchemeValidationError,
     SelfPairError,
 )
-
-_ENUM_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ def axis_matchings(dim: Dimension, axis: int) -> Tuple[Matching, ...]:
     smallest free index first produces exactly that order.
     """
     if not 1 <= axis <= dim.n:
-        raise IndexError(f"axis {axis} out of range 1..{dim.n}")
+        raise AxisRangeError(f"axis {axis} out of range 1..{dim.n}")
     return _axis_matchings(dim.n, axis)
 
 
@@ -144,7 +144,7 @@ class Scheme:
 
     def axis_pairs(self, axis: int) -> Tuple[Pair, ...]:
         if not 1 <= axis <= self.dim.n:
-            raise IndexError(f"axis {axis} out of range 1..{self.dim.n}")
+            raise AxisRangeError(f"axis {axis} out of range 1..{self.dim.n}")
         return self.matchings[axis - 1].pairs
 
     def __str__(self) -> str:
@@ -235,23 +235,12 @@ def scheme_branches(
 ) -> Iterator[Tuple[int, ...]]:
     """Stream branch tuples (per-axis matching indices) in DFS order.
 
-    The scan is chunked through the active kernel, so arbitrarily large
-    dimensions stream lazily; ``resume_after`` restarts a previous scan and
-    ``prefix`` restricts to one subtree (the parallel-partition contract).
+    The scan is lazy, so arbitrarily large dimensions stream;
+    ``resume_after`` restarts a previous scan just after that branch and
+    ``prefix`` restricts it to one subtree.
     """
-    masks = _axis_choice_masks(dim.n)
-    backend = kernels.backend_for(dim.pair_count)
-    after = tuple(resume_after) if resume_after is not None else None
-    remaining = limit
-    while remaining is None or remaining > 0:
-        take = _ENUM_CHUNK if remaining is None else min(_ENUM_CHUNK, remaining)
-        batch = backend.enumerate_covers(masks, tuple(prefix), after, take)
-        yield from batch
-        if len(batch) < take:
-            return
-        after = batch[-1]
-        if remaining is not None:
-            remaining -= len(batch)
+    covers = kernels.enumerate_covers(_axis_choice_masks(dim.n), prefix, resume_after)
+    yield from islice(covers, limit)
 
 
 def enumerate_schemes(

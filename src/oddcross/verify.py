@@ -19,7 +19,6 @@ with a constructed 0/1 witness pair.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -373,7 +372,8 @@ def find_witness(
     Constructed, not searched: the first of three probes on the first
     4-subset that breaks the Plücker criterion (see ``_witness``). The
     witness depends on the tensor alone; ``scheme`` and ``seed`` are
-    accepted for compatibility and change nothing.
+    accepted for compatibility (perfbench/workloads.py passes both) and
+    change nothing.
     """
     layout, cov, neg, bad = _tensor_verdict(tensor)
     return _witness(layout, cov, neg, bad) if bad else None
@@ -439,43 +439,21 @@ def _census_rows(n: int, branches, witnesses: bool):
         yield closed, not bad, witness
 
 
-def _census_partition(args):
-    n, first_choice, witnesses = args
-    branches = scheme_branches(feasible_dimension(n), prefix=(first_choice,))
-    return list(_census_rows(n, branches, witnesses))
-
-
 def census(
     dim: Dimension,
     *,
     limit: Optional[int] = None,
-    jobs: int = 1,
-    seed=0,
+    seed=0,  # kept for callers written for the old seeded witness search
     witnesses: bool = True,
 ) -> Iterator[CensusRecord]:
     """Classify every scheme of the dimension, in enumeration order.
 
-    Workers partition on the first axis's matching choice and records are
-    re-sequenced before emission, so output is identical for any ``jobs``.
-    A ``limit`` forces the sequential path (partitions cannot be cut short
-    cheaply); results are byte-identical either way. Witnesses are
-    constructed (see ``find_witness``), so ``seed`` is accepted for
-    compatibility and does not affect the output. orthogonality_zero equals
-    closed under the canonical orientation (proof in ``_classify_masks``).
+    Witnesses are constructed (see ``find_witness``), so ``seed`` is
+    accepted for compatibility and does not affect the output.
+    orthogonality_zero equals closed under the canonical orientation
+    (proof in ``_classify_masks``).
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    if jobs == 1 or limit is not None:
-        yield from _records(_census_rows(dim.n, scheme_branches(dim, limit=limit), witnesses))
-        return
-    first_width = len(axis_matchings(dim, 1))
-    tasks = [(dim.n, fc, witnesses) for fc in range(first_width)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = pool.map(_census_partition, tasks)
-        yield from _records(row for part in parts for row in part)
-
-
-def _records(rows) -> Iterator[CensusRecord]:
+    rows = _census_rows(dim.n, scheme_branches(dim, limit=limit), witnesses)
     for scheme_id, (closed, xab, witness) in enumerate(rows, 1):
         yield CensusRecord(scheme_id, closed, closed, xab, witness)
 

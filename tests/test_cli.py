@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from oddcross.cli import format_combination, main
 
 from conftest import ROW2_7D, ROW3_5D, ROW11_7D
@@ -109,12 +111,6 @@ class TestCommands:
         assert len(lines) == 7
         assert "6 schemes classified" in err
 
-    def test_census_jobs_byte_identical(self, capsys, tmp_path):
-        f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert run(capsys, "census", "-n", "5", "--jobs", "1", "-o", str(f1))[0] == 0
-        assert run(capsys, "census", "-n", "5", "--jobs", "3", "-o", str(f2))[0] == 0
-        assert f1.read_bytes() == f2.read_bytes()
-
     def test_census_limit(self, capsys):
         code, out, _ = run(capsys, "census", "-n", "7", "--limit", "4")
         assert code == 0
@@ -155,3 +151,10 @@ class TestErrors:
         code, _, err = run(capsys, "enumerate", "-n", "5", "--limit", "0")
         assert code == 1
         assert "limit" in err
+
+    @pytest.mark.parametrize("axis", [0, 9])
+    def test_axis_out_of_range(self, capsys, axis):
+        code, out, err = run(capsys, "matchings", "-n", "7", "--axis", str(axis))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: axis {axis} out of range 1..7\n"

@@ -182,9 +182,12 @@ class TestEnumeration:
         assert len(union) == len(full)
 
     def test_resume_after(self, dim7):
-        branches = list(scheme_branches(dim7))
-        mid = branches[1234]
-        assert list(scheme_branches(dim7, resume_after=mid)) == branches[1235:]
+        # Inside a prefix, the scan resumes with the tail of that subtree.
+        for prefix, at in (((), 1234), ((3,), 208)):
+            branches = list(scheme_branches(dim7, prefix=prefix))
+            mid = branches[at]
+            resumed = scheme_branches(dim7, prefix=prefix, resume_after=mid)
+            assert list(resumed) == branches[at + 1 :]
 
     def test_resume_in_chunks(self, dim5):
         full = list(scheme_branches(dim5))
@@ -203,9 +206,17 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="outside"):
             list(scheme_branches(dim5, prefix=prefix))
 
-    @pytest.mark.parametrize("resume", [(0, 1, -1, 0, 2), (0, 1, 3, 0, 2)])
-    def test_out_of_range_resume_rejected(self, dim5, resume):
-        with pytest.raises(ValueError, match="outside"):
+    @pytest.mark.parametrize(
+        "resume,match",
+        [
+            pytest.param((0, 1, -1, 0, 2), "outside", id="resume0"),
+            pytest.param((0, 1, 3, 0, 2), "outside", id="resume1"),
+            # In range but reuses pairs, so the scan never yields it.
+            pytest.param((0, 0, 0, 0, 0), "not a valid branch", id="reused_pair"),
+        ],
+    )
+    def test_out_of_range_resume_rejected(self, dim5, resume, match):
+        with pytest.raises(ValueError, match=match):
             list(scheme_branches(dim5, resume_after=resume))
 
     def test_lazy_stream_large_dimension(self):
