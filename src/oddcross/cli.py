@@ -71,7 +71,11 @@ def _open_output(path):
     if path is None or path == "-":
         yield sys.stdout
     else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        try:
+            fh = open(path, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise OddCrossError(f"cannot write {path}: {exc.strerror}") from None
+        with fh:
             yield fh
 
 

@@ -104,10 +104,21 @@ def parse_scheme_text(text: str, n: Optional[int] = None) -> Scheme:
 
 
 def load_scheme(source: str, n: Optional[int] = None) -> Scheme:
-    """Load a scheme from a file path, "-" for stdin, or inline text."""
+    """Load a scheme from a file path, "-" for stdin, or inline text.
+
+    A one-line source that is neither a file nor scheme text is reported
+    as a missing file, next to the reason it is not scheme text.
+    """
     if source == "-":
         return parse_scheme_text(sys.stdin.read(), n)
-    if os.path.exists(source):
+    if os.path.isfile(source):
         with open(source, encoding="utf-8") as fh:
             return parse_scheme_text(fh.read(), n)
-    return parse_scheme_text(source, n)
+    try:
+        return parse_scheme_text(source, n)
+    except SchemeSyntaxError as exc:
+        if "\n" in source:
+            raise
+        raise SchemeSyntaxError(
+            f"no file {source!r}, and not scheme text: {exc}"
+        ) from None

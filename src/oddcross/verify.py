@@ -105,20 +105,23 @@ def xab_pairs(tensor: StructureTensor, a: Vector, b: Vector, scheme: Scheme):
         raise SchemeTensorMismatchError(
             f"scheme is {scheme.dim.n}-dimensional, tensor is {n}-dimensional"
         )
+    oriented = []
     for matching in scheme.matchings:
-        for pair in matching.pairs:
-            entry = tensor.lookup(pair.lo, pair.hi)
-            if entry is None or entry.axis != matching.axis:
+        axis = matching.axis
+        pairs = [orient_pair(pair, axis) for pair in matching.pairs]
+        for alpha, beta in pairs:
+            # The determinants below assume e_alpha x e_beta = +e_axis.
+            entry = tensor.lookup(alpha, beta)
+            if entry != (axis, 1):
                 raise SchemeTensorMismatchError(
-                    f"tensor sends {pair} to axis "
-                    f"{entry.axis if entry else '?'}, scheme says {matching.axis}"
+                    f"tensor sends e{alpha} x e{beta} to "
+                    f"{'-' if entry.sign < 0 else '+'}e{entry.axis}, "
+                    f"scheme says +e{axis}"
                 )
+        oriented.append(pairs)
     total = 0
-    for matching in scheme.matchings:
-        dets = [
-            pair_determinant(a, b, *orient_pair(pair, matching.axis))
-            for pair in matching.pairs
-        ]
+    for pairs in oriented:
+        dets = [pair_determinant(a, b, alpha, beta) for alpha, beta in pairs]
         for d1, d2 in combinations(dets, 2):
             total += d1 * d2
     return 2 * total

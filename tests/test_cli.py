@@ -158,3 +158,18 @@ class TestErrors:
         assert code == 1
         assert out == ""
         assert err == f"error: axis {axis} out of range 1..7\n"
+
+    def test_unwritable_output(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, "census", "-n", "5", "-o", str(target))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: cannot write {target}: No such file or directory\n"
+
+    @pytest.mark.parametrize("name", ["s.txt", ""], ids=["missing", "directory"])
+    def test_missing_scheme_file(self, capsys, tmp_path, name):
+        path = str(tmp_path / name)
+        code, out, err = run(capsys, "tensor", "--scheme", path)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: no file {path!r}, and not scheme text:")

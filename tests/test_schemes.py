@@ -180,11 +180,18 @@ class TestEnumeration:
         union = [b for part in parts for b in part]
         assert sorted(union) == sorted(full)
         assert len(union) == len(full)
+        # A prefix whose choices share a pair has an empty subtree; a
+        # full-length prefix that is a branch is its own subtree.
+        assert list(scheme_branches(dim5, prefix=(0, 0))) == []
+        assert list(scheme_branches(dim5, prefix=full[3])) == [full[3]]
 
     def test_resume_after(self, dim7):
         # Inside a prefix, the scan resumes with the tail of that subtree.
-        for prefix, at in (((), 1234), ((3,), 208)):
+        # Resuming at the last branch, or at a full-length prefix, is empty.
+        full = list(scheme_branches(dim7))[1234]
+        for prefix, at in (((), 1234), ((3,), 208), ((), 0), ((), -1), (full, 0)):
             branches = list(scheme_branches(dim7, prefix=prefix))
+            at %= len(branches)
             mid = branches[at]
             resumed = scheme_branches(dim7, prefix=prefix, resume_after=mid)
             assert list(resumed) == branches[at + 1 :]
@@ -200,24 +207,27 @@ class TestEnumeration:
             after = batch[-1]
         assert collected == full
 
-    @pytest.mark.parametrize("prefix", [(-1,), (3,), (0, 15)])
+    @pytest.mark.parametrize("prefix", [(-1,), (3,), (0, 15), (0, 0, -1)])
     def test_out_of_range_prefix_rejected(self, dim5, prefix):
-        # (-1,) used to wrap silently to the last matching of axis 1.
+        # (-1,) used to wrap silently to the last matching of axis 1. Every
+        # choice is checked, even after an earlier pair of choices conflicts.
         with pytest.raises(ValueError, match="outside"):
             list(scheme_branches(dim5, prefix=prefix))
 
     @pytest.mark.parametrize(
-        "resume,match",
+        "prefix,resume,match",
         [
-            pytest.param((0, 1, -1, 0, 2), "outside", id="resume0"),
-            pytest.param((0, 1, 3, 0, 2), "outside", id="resume1"),
+            pytest.param((), (0, 1, -1, 0, 2), "outside", id="resume0"),
+            pytest.param((), (0, 1, 3, 0, 2), "outside", id="resume1"),
             # In range but reuses pairs, so the scan never yields it.
-            pytest.param((0, 0, 0, 0, 0), "not a valid branch", id="reused_pair"),
+            pytest.param((), (0, 0, 0, 0, 0), "not a valid branch", id="reused_pair"),
+            # Checked even though the prefix itself conflicts.
+            pytest.param((0, 0), (0, 1, 2, 0, 1), "outside", id="conflicting_prefix"),
         ],
     )
-    def test_out_of_range_resume_rejected(self, dim5, resume, match):
+    def test_out_of_range_resume_rejected(self, dim5, prefix, resume, match):
         with pytest.raises(ValueError, match=match):
-            list(scheme_branches(dim5, resume_after=resume))
+            list(scheme_branches(dim5, prefix=prefix, resume_after=resume))
 
     def test_lazy_stream_large_dimension(self):
         dim9 = feasible_dimension(9)

@@ -125,10 +125,19 @@ class TestXabRoutes:
             report = defect_report(scheme5_row3, a, b, tensor=tensor5_row3)
             assert report.consistent(tol=1e-9)
 
-    def test_pairs_requires_matching_scheme(self, tensor7_row11, scheme7_row2):
+    def test_pairs_requires_matching_scheme(
+        self, tensor7_row11, scheme7_row2, tensor5_row3, scheme5_row3
+    ):
         a, b = unit(7, 1), unit(7, 2)
         with pytest.raises(SchemeTensorMismatchError):
             xab_pairs(tensor7_row11, a, b, scheme7_row2)
+        # Same axes, but pair 1-2 has the opposite sign: for these vectors the
+        # pair route would answer -6 where the direct and tensor routes give -2.
+        target, sign = tensor5_row3.flat_arrays()
+        sign[0 * 5 + 1], sign[1 * 5 + 0] = -sign[0 * 5 + 1], -sign[1 * 5 + 0]
+        flipped = StructureTensor(scheme5_row3.dim, target, sign)
+        with pytest.raises(SchemeTensorMismatchError, match="e1 x e2 to -e"):
+            xab_pairs(flipped, (0, 1, 1, 0, 1), (1, 1, 0, 1, 0), scheme5_row3)
 
     def test_pairs_requires_matching_dimension(self, tensor5_row3, scheme7_row11):
         with pytest.raises(SchemeTensorMismatchError):
