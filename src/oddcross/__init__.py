@@ -56,6 +56,7 @@ from .verify import (
     format_witness,
     orthogonality_defect,
     orthogonality_identically_zero,
+    tensor_verdict,
     write_census_csv,
     xab_direct,
     xab_identically_zero,

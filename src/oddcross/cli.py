@@ -14,17 +14,10 @@ import sys
 
 from .errors import OddCrossError
 from .reference import reproduce_tables
-from .schemes import axis_matchings, enumerate_schemes, feasible_dimension, is_closed
+from .schemes import axis_matchings, enumerate_schemes, feasible_dimension
 from .tensor import build_tensor
 from .textio import emit_scheme_text, load_scheme
-from .verify import (
-    census,
-    classify_tensor,
-    defect_report,
-    find_witness,
-    format_witness,
-    write_census_csv,
-)
+from .verify import census, defect_report, format_witness, tensor_verdict, write_census_csv
 
 
 def _parse_vector(text: str) -> tuple:
@@ -144,13 +137,12 @@ def _cmd_cross(args) -> int:
 def _cmd_verify(args) -> int:
     scheme = load_scheme(args.scheme, args.n)
     tensor = build_tensor(scheme)
-    ortho_zero, xab_zero = classify_tensor(tensor)
+    closed, ortho_zero, xab_zero, witness = tensor_verdict(tensor)
     print(f"n: {scheme.dim.n}")
-    print(f"closed: {_bool_text(is_closed(scheme))}")
+    print(f"closed: {_bool_text(closed)}")
     print(f"orthogonality_zero: {_bool_text(ortho_zero)}")
     print(f"xab_zero: {_bool_text(xab_zero)}")
     if not xab_zero:
-        witness = find_witness(tensor, scheme)
         a, b = witness
         report = defect_report(scheme, a, b, tensor=tensor)
         print(f"witness: {format_witness(witness)}")
@@ -223,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="identity-level classification of one scheme")
     p.add_argument("--scheme", required=True)
     p.add_argument("-n", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("census", help="classify every scheme of a dimension")

@@ -113,7 +113,11 @@ def load_scheme(source: str, n: Optional[int] = None) -> Scheme:
         return parse_scheme_text(sys.stdin.read(), n)
     if os.path.isfile(source):
         with open(source, encoding="utf-8") as fh:
-            return parse_scheme_text(fh.read(), n)
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise SchemeSyntaxError(f"{source!r} is not UTF-8 text: {exc.reason}") from None
+        return parse_scheme_text(text, n)
     try:
         return parse_scheme_text(source, n)
     except SchemeSyntaxError as exc:

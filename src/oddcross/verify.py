@@ -11,10 +11,13 @@ quantities are of interest:
 X_AB is computed along three independent routes (direct norms, full
 four-index contraction, scheme-pair determinants) that must agree
 exactly on integer input. Identity-level questions ("is this zero for
-ALL vectors?") are decided exactly, never by sampling: X_AB by the
-Plücker criterion on 4-subsets, orthogonality by total antisymmetry
-(both proved in ``_classify_masks``). A nonzero X_AB verdict always comes
-with a constructed 0/1 witness pair.
+ALL vectors?") are decided exactly, never by sampling, in one verdict
+pass: each axis contributes one int mask of split and triple planes,
+and one pattern test on the OR of those masks decides X_AB (the Plücker
+criterion on 4-subsets) and orthogonality (total antisymmetry on
+triples), both proved in ``_off_pattern``. ``tensor_verdict`` gives a
+tensor's verdict and ``census`` every scheme's; a nonzero X_AB verdict
+always comes with a constructed 0/1 witness pair.
 """
 
 from __future__ import annotations
@@ -128,22 +131,27 @@ def xab_pairs(tensor: StructureTensor, a: Vector, b: Vector, scheme: Scheme):
 
 
 class _Layout(NamedTuple):
-    """Bit positions of the classifier's masks for one n (0-based indices).
+    """Bit positions of the verdict mask for one n (0-based indices).
 
-    A split mask has three planes of ``q`` bits, one per way of splitting a
-    4-subset {a<b<c<d} into two pairs: plane 0 is {ab|cd}, plane 1 {ac|bd},
-    plane 2 {ad|bc}; bit t of a plane is the t-th 4-subset in
-    ``combinations`` order. A triple mask has three planes of ``r`` bits,
-    one per role of the axis in a triple {x<y<z}: plane 0 marks the pair
-    {y,z} on axis x, plane 1 {x,z} on y, plane 2 {x,y} on z.
+    A mask is one int made of four groups of three planes each:
+
+    * bits 0..3q, covered splits: plane 0 of a 4-subset {a<b<c<d} is
+      {ab|cd}, plane 1 {ac|bd}, plane 2 {ad|bc}, and bit t of a plane is
+      the t-th 4-subset in ``combinations`` order;
+    * bits 3q..6q, the covered splits whose two pairs have opposite signs;
+    * bits 6q..6q+3r, present triple roles: plane 0 of a triple {x<y<z}
+      marks the pair {y,z} on axis x, plane 1 {x,z} on y, plane 2 {x,y} on
+      z, and bit t of a plane is the t-th triple;
+    * bits 6q+3r..6q+6r, the present roles whose pair has sign -1
+      (e_lo x e_hi = -e_axis).
     """
 
     n: int
     q: int
     r: int
     pair_count: int
-    split_bit: list  # [p * pair_count + p2]: bit of the split made of pair slots p, p2
-    triple_bit: list  # [p * n + k]: bit of pair slot p sitting on axis k
+    split_bit: list  # [p * pair_count + p2]: covered bit of the split made of pair slots p, p2
+    triple_bit: list  # [p * n + k]: present bit of pair slot p sitting on axis k
     probes: tuple  # per 4-subset: the three 0/1 probe pairs (A, B) of the witness
 
 
@@ -166,7 +174,7 @@ def _layout(n: int) -> _Layout:
         for k in range(n):
             if k != i and k != j:
                 triple = tuple(sorted((i, j, k)))
-                triple_bit[p * n + k] = triple.index(k) * r + triples[triple]
+                triple_bit[p * n + k] = 6 * q + triple.index(k) * r + triples[triple]
 
     def basis_sum(x, y):
         return tuple(int(i == x or i == y) for i in range(n))
@@ -182,34 +190,35 @@ def _layout(n: int) -> _Layout:
     return _Layout(n, q, r, pair_count, split_bit, triple_bit, probes)
 
 
-def _axis_masks(layout: _Layout, axis: int, pairs) -> Tuple[int, int, int]:
-    """(cov, neg, tri) of one axis; ``pairs`` lists its (pair slot, sign)."""
+def _axis_mask(layout: _Layout, axis: int, pairs) -> int:
+    """The verdict mask of one axis; ``pairs`` lists its (pair slot, sign)."""
     split_bit, triple_bit = layout.split_bit, layout.triple_bit
     width, n = layout.pair_count, layout.n
-    cov = neg = tri = 0
+    split_neg, triple_neg = 3 * layout.q, 3 * layout.r
+    mask = 0
     for x, (p, s) in enumerate(pairs):
-        tri |= 1 << triple_bit[p * n + axis]
+        bit = triple_bit[p * n + axis]
+        mask |= 1 << bit if s > 0 else (1 << bit) | (1 << (bit + triple_neg))
         row = p * width
         for p2, s2 in pairs[x + 1 :]:
-            bit = 1 << split_bit[row + p2]
-            cov |= bit
-            if s != s2:
-                neg |= bit
-    return cov, neg, tri
+            bit = split_bit[row + p2]
+            mask |= 1 << bit if s == s2 else (1 << bit) | (1 << (bit + split_neg))
+    return mask
 
 
 @lru_cache(maxsize=None)
 def _matching_masks(n: int):
-    """Per axis (0-based), per matching index: (cov, neg, tri) under the
-    canonical orientation, where e_lo x e_hi = -e_k exactly when lo < k < hi."""
+    """Per axis (0-based), per matching index: the verdict mask under the
+    canonical orientation of ``orient_pair``."""
     layout = _layout(n)
     dim = feasible_dimension(n)
     return tuple(
         tuple(
-            _axis_masks(
+            _axis_mask(
                 layout,
                 axis - 1,
-                [(pair_index(n, p), -1 if p.lo < axis < p.hi else 1) for p in m.pairs],
+                # The sign of e_lo x e_hi: +1 when orient_pair keeps (lo, hi).
+                [(pair_index(n, p), 1 if orient_pair(p, axis) == p else -1) for p in m.pairs],
             )
             for m in axis_matchings(dim, axis)
         )
@@ -217,11 +226,39 @@ def _matching_masks(n: int):
     )
 
 
-def _classify_masks(layout: _Layout, cov: int, neg: int, tri: int) -> Tuple[bool, int]:
-    """(closed, bad) of a signed scheme from its OR-ed axis masks.
+def _tensor_mask(tensor: StructureTensor) -> Tuple[_Layout, int]:
+    """(layout, mask) of a tensor, from its own pairs and signs."""
+    n = tensor.dim.n
+    layout = _layout(n)
+    target, sign = tensor.flat_arrays()
+    per_axis = [[] for _ in range(n)]
+    p = 0
+    for i in range(n):
+        row = i * n
+        for j in range(i + 1, n):
+            per_axis[target[row + j]].append((p, sign[row + j]))
+            p += 1
+    mask = 0
+    for axis, pairs in enumerate(per_axis):
+        mask |= _axis_mask(layout, axis, pairs)
+    return layout, mask
 
-    X_AB is identically zero exactly when ``bad`` is 0; otherwise the lowest
-    set bit of ``bad`` names a 4-subset that breaks the criterion below.
+
+def _off_pattern(group: int, w: int) -> Tuple[int, int]:
+    """(uneven, off) of the three presence and three sign planes of a group.
+
+    ``group`` holds, from bit 0 up, presence planes p0, p1, p2 and sign
+    planes s0, s1, s2 of ``w`` bits each (higher bits are ignored); a sign
+    bit is set only where its presence bit is. Read k = 0 where p is clear,
+    -1 where s is set and +1 otherwise. Bit t of ``uneven`` is set when the
+    three planes' presence differs at t; bit t of ``off`` when
+    (k0, k1, k2) at t is neither all 0 nor +-(1, -1, 1). With all three
+    present, that pattern is s0 = s2 and s1 = not s0, so
+
+        off = (p0^p1) | (p0^p2) | (s0^s2) | (s1 ^ (p0 & ~s0)).
+
+    The X_AB identity is this test on the split planes, and orthogonality
+    is the same test on the triple planes.
 
     Plücker criterion. Write D_ij = a_i b_j - a_j b_i and let s_ij = +-1 be
     the sign of e_i x e_j (i < j) on the axis the pair sits on. Then
@@ -244,41 +281,41 @@ def _classify_masks(layout: _Layout, cov: int, neg: int, tri: int) -> Tuple[bool
     exactly one relation, the Plücker relation
     D_ab D_cd - D_ac D_bd + D_ad D_bc = 0. Hence X_AB is the zero
     polynomial exactly when every 4-subset has (k0, k1, k2) proportional to
-    (1, -1, 1), which for k in {-1, 0, 1} means all 0 or +-(1, -1, 1). In
-    planes c (covered) and n (covered with k = -1) that is: c0 = c1 = c2,
-    n0 = n2, and n1 = c0 & ~n0, so
+    (1, -1, 1), which for k in {-1, 0, 1} means all 0 or +-(1, -1, 1):
+    ``off`` of the split planes is 0.
 
-        bad = (c0^c1) | (c0^c2) | (n0^n2) | (n1 ^ (c0 & ~n0)).
+    Total antisymmetry. (AxB).A = sum L[i,j,k] a_i b_j a_k, and L[i,j,i] = 0,
+    so the coefficient of a_i a_k b_j (i != k) is L[i,j,k] + L[k,j,i]:
+    (AxB).A vanishes identically exactly when L changes sign under swapping
+    its first and third slots, and (AxB).B exactly when it does under
+    swapping its second and third. With the built-in antisymmetry in the
+    two input slots, both hold exactly when L is totally antisymmetric. A
+    nonzero entry L[i,j,k] and its partners under these swaps all have
+    their three indices in {i,j,k}, so the condition splits into one per
+    triple {x<y<z}. A triple with no role present has only zero entries and
+    passes. Otherwise every role must be present, {y,z} on x, {x,z} on y
+    and {x,y} on z, and with e = L[x,y,z] (role 2) total antisymmetry
+    gives L[y,z,x] = e (role 0, an even permutation) and L[x,z,y] = -e
+    (role 1, an odd one): the role signs are e(1, -1, 1). So orthogonality
+    holds identically exactly when ``off`` of the triple planes is 0. And
+    ``uneven`` of the triple planes is 0 exactly when the scheme is closed:
+    each pair {i,j} on axis k comes with {j,k} on axis i and {i,k} on
+    axis j.
 
-    Closure. The scheme is closed when each pair {i,j} on axis k comes with
-    {j,k} on axis i and {i,k} on axis j, that is when every triple has its
-    three roles all present or all absent: the three triple planes are
-    equal.
-
-    Closed implies totally antisymmetric under the canonical orientation.
-    Take a closed triple {x<y<z}. The canonical sign of e_lo x e_hi on axis
-    k is -1 exactly when lo < k < hi, so e_x x e_y = +e_z, e_y x e_z = +e_x
-    and e_x x e_z = -e_y: on the triple L is the Levi-Civita symbol
-    epsilon_xyz, which is totally antisymmetric. Every nonzero entry of L
-    lies on one such triple, so L is totally antisymmetric, and
-    (AxB).A = sum L[i,j,k] a_i b_j a_k vanishes identically (likewise
-    (AxB).B). Conversely total antisymmetry needs L[k,j,i] = -L[i,j,k],
-    so the pair {k,j} must sit on axis i: the scheme is closed. So for
-    canonically oriented schemes orthogonality_zero equals closed.
+    Under the canonical orientation e_lo x e_hi = -e_k exactly when
+    lo < k < hi, so every present triple has role signs (1, -1, 1) and
+    orthogonality_zero equals closed.
     """
-    q, r = layout.q, layout.r
-    full_q = (1 << q) - 1
-    c0, c1, c2 = cov & full_q, (cov >> q) & full_q, cov >> (2 * q)
-    n0, n1, n2 = neg & full_q, (neg >> q) & full_q, neg >> (2 * q)
-    bad = (c0 ^ c1) | (c0 ^ c2) | (n0 ^ n2) | (n1 ^ (c0 & ~n0))
-    full_r = (1 << r) - 1
-    t0 = tri & full_r
-    closed = t0 == (tri >> r) & full_r and t0 == tri >> (2 * r)
-    return closed, bad
+    full = (1 << w) - 1
+    p0, p1, p2 = group & full, group >> w & full, group >> 2 * w & full
+    s0, s1, s2 = group >> 3 * w & full, group >> 4 * w & full, group >> 5 * w & full
+    uneven = (p0 ^ p1) | (p0 ^ p2)
+    return uneven, uneven | (s0 ^ s2) | (s1 ^ (p0 & ~s0))
 
 
-def _witness(layout: _Layout, cov: int, neg: int, bad: int):
-    """A 0/1 vector pair with X_AB != 0, read off the lowest bit of ``bad``.
+def _witness(layout: _Layout, mask: int, off: int):
+    """A 0/1 vector pair with X_AB != 0, read off the lowest bit of the
+    split planes' ``off``.
 
     On vectors supported on the 4-subset {a,b,c,d} of that bit only its own
     three splits contribute, and the probes give, in this order,
@@ -286,10 +323,11 @@ def _witness(layout: _Layout, cov: int, neg: int, bad: int):
     (e_a+e_d, e_b+e_c): -2(k0+k1). All three vanish only for
     (k0, k1, k2) = (k, -k, k), which is not a breaking 4-subset.
     """
-    t = (bad & -bad).bit_length() - 1
+    t = (off & -off).bit_length() - 1
+    q = layout.q
     k0, k1, k2 = (
-        0 if not (cov >> bit) & 1 else (-1 if (neg >> bit) & 1 else 1)
-        for bit in (t, layout.q + t, 2 * layout.q + t)
+        0 if not (mask >> bit) & 1 else (-1 if (mask >> (3 * q + bit)) & 1 else 1)
+        for bit in (t, q + t, 2 * q + t)
     )
     for value, probe in zip((2 * (k0 - k2), 2 * (k1 + k2), -2 * (k0 + k1)), layout.probes[t]):
         if value:
@@ -297,89 +335,59 @@ def _witness(layout: _Layout, cov: int, neg: int, bad: int):
     raise AssertionError("bad 4-subset with no nonzero probe")  # excluded by the proof
 
 
-def _tensor_verdict(tensor: StructureTensor):
-    """(layout, cov, neg, bad) of a tensor, from its own pairs and signs."""
-    n = tensor.dim.n
-    layout = _layout(n)
-    target, sign = tensor.flat_arrays()
-    per_axis = [[] for _ in range(n)]
-    p = 0
-    for i in range(n):
-        row = i * n
-        for j in range(i + 1, n):
-            per_axis[target[row + j]].append((p, sign[row + j]))
-            p += 1
-    cov = neg = tri = 0
-    for axis, pairs in enumerate(per_axis):
-        c, g, t = _axis_masks(layout, axis, pairs)
-        cov |= c
-        neg |= g
-        tri |= t
-    _, bad = _classify_masks(layout, cov, neg, tri)
-    return layout, cov, neg, bad
+def _verdict(layout: _Layout, mask: int, witnesses: bool = True):
+    """(closed, orthogonality_zero, xab_zero, witness) from a scheme's OR-ed
+    axis masks. The witness is None when X_AB is identically zero or
+    ``witnesses`` is false."""
+    xab_off = _off_pattern(mask, layout.q)[1]
+    uneven, triple_off = _off_pattern(mask >> 6 * layout.q, layout.r)
+    witness = _witness(layout, mask, xab_off) if witnesses and xab_off else None
+    return not uneven, not triple_off, not xab_off, witness
 
 
-def _totally_antisymmetric(n: int, target: list, sign: list) -> bool:
-    # L[k,j,i] == -L[i,j,k] and L[i,k,j] == -L[i,j,k] for every i != j.
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            k = target[i * n + j]
-            s = sign[i * n + j]
-            if target[k * n + j] != i or sign[k * n + j] != -s:
-                return False
-            if target[i * n + k] != j or sign[i * n + k] != -s:
-                return False
-    return True
+def tensor_verdict(
+    tensor: StructureTensor,
+) -> Tuple[bool, bool, bool, Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]]:
+    """(closed, orthogonality_zero, xab_zero, witness) of a tensor with any
+    signs, decided exactly in one pass over its pairs.
+
+    ``closed``: every pair closes into a triple. ``orthogonality_zero``:
+    (AxB).A and (AxB).B vanish for all A, B (total antisymmetry).
+    ``xab_zero``: X_AB is the zero polynomial (Plücker criterion); it is
+    never decided by sampling, because small integer probes of genuinely
+    nonzero schemes frequently evaluate to zero. ``witness``: a 0/1 vector
+    pair with X_AB != 0, or None when ``xab_zero``. Proofs in
+    ``_off_pattern`` and ``_witness``.
+    """
+    return _verdict(*_tensor_mask(tensor))
 
 
 def classify_tensor(tensor: StructureTensor) -> Tuple[bool, bool]:
-    """(orthogonality identically zero, X_AB identically zero), decided exactly.
-
-    X_AB by the Plücker criterion of ``_classify_masks``, which holds for
-    any signs; orthogonality by checking total antisymmetry directly,
-    since the tensor's signs need not be the canonical orientation.
-    """
-    bad = _tensor_verdict(tensor)[3]
-    target, sign = tensor.flat_arrays()
-    return _totally_antisymmetric(tensor.dim.n, target, sign), not bad
+    """(orthogonality_zero, xab_zero) of ``tensor_verdict``, without a witness."""
+    return _verdict(*_tensor_mask(tensor), False)[1:3]
 
 
 def orthogonality_identically_zero(tensor: StructureTensor) -> bool:
-    """Whether (AxB).A and (AxB).B vanish for every A, B.
-
-    Equivalent to total antisymmetry of L: the built-in antisymmetry in the
-    two input slots plus sign flips under swapping the output slot with
-    either input slot.
-    """
+    """Whether (AxB).A and (AxB).B vanish for every A, B."""
     return classify_tensor(tensor)[0]
 
 
 def xab_identically_zero(tensor: StructureTensor) -> bool:
-    """Whether the quartic X_AB(A, B) is the zero polynomial.
-
-    Decided exactly by the Plücker criterion; sampling is never trusted
-    here because small integer probes of genuinely nonzero schemes
-    frequently evaluate to zero.
-    """
+    """Whether the quartic X_AB(A, B) is the zero polynomial."""
     return classify_tensor(tensor)[1]
 
 
 def find_witness(
     tensor: StructureTensor, scheme: Scheme, seed=0
 ) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """A pair of 0/1 vectors with X_AB != 0, or None when X_AB is
-    identically zero.
+    """The witness of ``tensor_verdict``: a pair of 0/1 vectors with
+    X_AB != 0, or None when X_AB is identically zero.
 
-    Constructed, not searched: the first of three probes on the first
-    4-subset that breaks the Plücker criterion (see ``_witness``). The
-    witness depends on the tensor alone; ``scheme`` and ``seed`` are
+    The witness depends on the tensor alone; ``scheme`` and ``seed`` are
     accepted for compatibility (perfbench/workloads.py passes both) and
     change nothing.
     """
-    layout, cov, neg, bad = _tensor_verdict(tensor)
-    return _witness(layout, cov, neg, bad) if bad else None
+    return tensor_verdict(tensor)[3]
 
 
 @dataclass(frozen=True)
@@ -426,39 +434,31 @@ class CensusRecord:
 
 
 def _census_rows(n: int, branches, witnesses: bool):
-    """(closed, xab_zero, witness) per branch tuple, straight from the
-    per-matching masks: no Scheme or StructureTensor is built."""
+    """The verdict of each branch tuple, straight from the per-matching
+    masks: no Scheme or StructureTensor is built."""
     layout = _layout(n)
     masks = _matching_masks(n)
     for branch in branches:
-        cov = neg = tri = 0
+        mask = 0
         for axis_masks, choice in zip(masks, branch):
-            c, g, t = axis_masks[choice]
-            cov |= c
-            neg |= g
-            tri |= t
-        closed, bad = _classify_masks(layout, cov, neg, tri)
-        witness = _witness(layout, cov, neg, bad) if witnesses and bad else None
-        yield closed, not bad, witness
+            mask |= axis_masks[choice]
+        yield _verdict(layout, mask, witnesses)
 
 
 def census(
     dim: Dimension,
     *,
     limit: Optional[int] = None,
-    seed=0,  # kept for callers written for the old seeded witness search
     witnesses: bool = True,
 ) -> Iterator[CensusRecord]:
     """Classify every scheme of the dimension, in enumeration order.
 
-    Witnesses are constructed (see ``find_witness``), so ``seed`` is
-    accepted for compatibility and does not affect the output.
-    orthogonality_zero equals closed under the canonical orientation
-    (proof in ``_classify_masks``).
+    Each record carries the scheme's verdict under the canonical
+    orientation (see ``tensor_verdict``).
     """
     rows = _census_rows(dim.n, scheme_branches(dim, limit=limit), witnesses)
-    for scheme_id, (closed, xab, witness) in enumerate(rows, 1):
-        yield CensusRecord(scheme_id, closed, closed, xab, witness)
+    for scheme_id, verdict in enumerate(rows, 1):
+        yield CensusRecord(scheme_id, *verdict)
 
 
 def format_witness(witness) -> str:

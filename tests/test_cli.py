@@ -97,7 +97,7 @@ class TestCommands:
         assert "witness" not in out
 
     def test_verify_nonzero_scheme(self, capsys):
-        code, out, _ = run(capsys, "verify", "--scheme", ROW2_7D, "-n", "7", "--seed", "0")
+        code, out, _ = run(capsys, "verify", "--scheme", ROW2_7D, "-n", "7")
         assert code == 0
         assert "xab_zero: false" in out
         assert "witness: " in out
@@ -173,3 +173,11 @@ class TestErrors:
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: no file {path!r}, and not scheme text:")
+
+    def test_non_utf8_scheme_file(self, capsys, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_bytes(b"\xff\xfen=3\n1: 2-3\n2: 1-3\n3: 1-2\n")
+        code, out, err = run(capsys, "verify", "--scheme", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {str(path)!r} is not UTF-8 text:")

@@ -22,19 +22,21 @@ from oddcross import (
     is_closed,
     orthogonality_defect,
     orthogonality_identically_zero,
+    parse_scheme_text,
     write_census_csv,
     xab_direct,
     xab_identically_zero,
     xab_pairs,
     xab_tensor,
 )
+from oddcross.reference import reference_schemes
 from oddcross.schemes import _axis_choice_masks
 from oddcross.verify import (
     _census_rows,
-    _classify_masks,
     _layout,
-    _witness,
+    _verdict,
     classify_tensor,
+    tensor_verdict,
 )
 
 
@@ -244,6 +246,8 @@ class TestPluckerCriterion:
         dim = feasible_dimension(n)
         for rec, scheme in zip(census(dim), enumerate_schemes(dim)):
             tensor = build_tensor(scheme)
+            verdict = (rec.closed, rec.orthogonality_zero, rec.xab_zero, rec.witness)
+            assert tensor_verdict(tensor) == verdict
             if rec.xab_zero:
                 assert rec.witness is None
                 continue
@@ -260,8 +264,9 @@ class TestPluckerCriterion:
         scheme = branch_scheme(dim, branch)
         tensor = build_tensor(scheme)
         ortho, xab = oracle_verdict(tensor)
-        ((closed, xab_zero, witness),) = _census_rows(9, [branch], True)
-        assert closed == is_closed(scheme) == ortho
+        ((closed, ortho_zero, xab_zero, witness),) = _census_rows(9, [branch], True)
+        assert closed == is_closed(scheme)
+        assert ortho_zero == ortho
         assert xab_zero == xab
         assert classify_tensor(tensor) == (ortho, xab)
         assert witness == find_witness(tensor, scheme)
@@ -274,18 +279,42 @@ class TestPluckerCriterion:
         # exactly when k is neither all 0 nor +-(1, -1, 1), and the witness
         # then has a nonzero X_AB by the 4-subset formula.
         layout = _layout(5)
-        cov = sum(1 << (plane * layout.q) for plane in range(3) if k[plane])
-        neg = sum(1 << (plane * layout.q) for plane in range(3) if k[plane] < 0)
-        _, bad = _classify_masks(layout, cov, neg, 0)
-        assert bool(bad) == (k not in ((0, 0, 0), (1, -1, 1), (-1, 1, -1)))
-        if bad:
-            a, b = _witness(layout, cov, neg, bad)
+        q = layout.q
+        cov = sum(1 << (plane * q) for plane in range(3) if k[plane])
+        neg = sum(1 << (3 * q + plane * q) for plane in range(3) if k[plane] < 0)
+        _, _, xab_zero, witness = _verdict(layout, cov | neg)
+        assert xab_zero == (k in ((0, 0, 0), (1, -1, 1), (-1, 1, -1)))
+        if not xab_zero:
+            a, b = witness
 
             def det(i, j):
                 return a[i] * b[j] - a[j] * b[i]
 
             x = k[0] * det(0, 1) * det(2, 3) + k[1] * det(0, 2) * det(1, 3)
             assert x + k[2] * det(0, 3) * det(1, 2) != 0
+
+    @pytest.mark.parametrize("k", list(itertools.product((-1, 0, 1), repeat=3)))
+    def test_triple_role_rule(self, k):
+        # One triple {1,2,3} of n=5 with role signs k (0 = role absent):
+        # roles 0, 1, 2 are L[2,3,1], L[1,3,2] and L[1,2,3]. Closed exactly
+        # when all roles or none are present; orthogonal exactly when k is
+        # all 0 or +-(1, -1, 1), which is total antisymmetry of L on the
+        # triple, checked here entry by entry.
+        layout = _layout(5)
+        q, r = layout.q, layout.r
+        present = sum(1 << (6 * q + plane * r) for plane in range(3) if k[plane])
+        neg = sum(1 << (6 * q + 3 * r + plane * r) for plane in range(3) if k[plane] < 0)
+        closed, ortho_zero, xab_zero, witness = _verdict(layout, present | neg)
+        assert closed == (0 not in k or k == (0, 0, 0))
+        assert ortho_zero == (k in ((0, 0, 0), (1, -1, 1), (-1, 1, -1)))
+        assert (xab_zero, witness) == (True, None)
+        entry = {(1, 2, 0): k[0], (0, 2, 1): k[1], (0, 1, 2): k[2]}
+        entry.update({(j, i, m): -v for (i, j, m), v in list(entry.items())})
+        antisymmetric = all(
+            entry.get((m, j, i), 0) == -v and entry.get((i, m, j), 0) == -v
+            for (i, j, m), v in entry.items()
+        )
+        assert ortho_zero == antisymmetric
 
     @pytest.mark.parametrize(
         "flips",
@@ -331,6 +360,46 @@ class TestPluckerCriterion:
         else:
             assert xab_direct(tensor, *witness) != 0
 
+    @pytest.mark.parametrize(
+        "scheme",
+        [parse_scheme_text("n=3\n1: 2-3\n2: 1-3\n3: 1-2")] + reference_schemes(7),
+        ids=["n3"] + [f"row{i}" for i in range(1, 31)],
+    )
+    def test_closed_schemes_with_flipped_signs(self, scheme):
+        # Closed schemes whose signs are flipped triple by triple (which
+        # keeps total antisymmetry) and then pair by pair (which mostly
+        # breaks it): random closed schemes are too rare to check
+        # orthogonality under non-canonical signs otherwise.
+        n = scheme.dim.n
+        rng = random.Random(str(scheme))
+        target, canonical = build_tensor(scheme).flat_arrays()
+        triples = {frozenset((i, j, target[i * n + j])) for i in range(n) for j in range(i + 1, n)}
+
+        def flip(i, j):
+            sign[i * n + j], sign[j * n + i] = -sign[i * n + j], -sign[j * n + i]
+
+        for variant in range(8):
+            sign = list(canonical)
+            for triple in triples:
+                if rng.random() < 0.5:
+                    for i, j in itertools.combinations(sorted(triple), 2):
+                        flip(i, j)
+            whole_triples = variant % 2 == 0
+            if not whole_triples:
+                for i, j in itertools.combinations(range(n), 2):
+                    if rng.random() < 0.15:
+                        flip(i, j)
+            tensor = StructureTensor(scheme.dim, target, sign)
+            ortho, xab = oracle_verdict(tensor)
+            if whole_triples:
+                assert ortho
+            assert classify_tensor(tensor) == (ortho, xab)
+            closed, ortho_zero, xab_zero, witness = tensor_verdict(tensor)
+            assert (closed, ortho_zero, xab_zero) == (True, ortho, xab)
+            assert (witness is None) == xab
+            if witness is not None:
+                assert xab_direct(tensor, *witness) != 0
+
 
 class TestCensus:
     def test_5d_census(self, dim5):
@@ -367,7 +436,7 @@ class TestCensus:
 
     def test_csv_shape(self, dim5):
         buf = io.StringIO()
-        count = write_census_csv(census(dim5, seed=1), buf)
+        count = write_census_csv(census(dim5), buf)
         assert count == 6
         lines = buf.getvalue().splitlines()
         assert lines[0] == "scheme_id,closed,orthogonality_zero,xab_zero,witness"
@@ -377,7 +446,7 @@ class TestCensus:
     def test_csv_byte_deterministic(self, dim7):
         def run(limit=None):
             buf = io.StringIO()
-            write_census_csv(census(dim7, limit=limit, seed=4), buf)
+            write_census_csv(census(dim7, limit=limit), buf)
             return buf.getvalue()
 
         full = run()
