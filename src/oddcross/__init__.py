@@ -14,6 +14,7 @@ from .errors import (
     DuplicatePairError,
     EvenDimensionError,
     FeasibilityError,
+    IndexRangeError,
     MissingPairError,
     OddCrossError,
     SchemeSyntaxError,

@@ -21,6 +21,10 @@ class AxisRangeError(OddCrossError, IndexError):
     """An axis number outside 1..n."""
 
 
+class IndexRangeError(OddCrossError, IndexError):
+    """A basis index outside 1..n."""
+
+
 class SchemeValidationError(OddCrossError):
     """A candidate pairing scheme violates a structural invariant."""
 

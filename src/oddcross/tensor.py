@@ -13,7 +13,12 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence, Tuple
 
-from .errors import DimensionMismatchError, SelfPairError, TensorValidationError
+from .errors import (
+    DimensionMismatchError,
+    IndexRangeError,
+    SelfPairError,
+    TensorValidationError,
+)
 from .schemes import Dimension, Pair, Scheme
 
 Vector = Sequence
@@ -113,7 +118,7 @@ class StructureTensor:
         """The (axis, sign) slot of e_i x e_j, or None when i == j."""
         n = self.dim.n
         if not (1 <= i <= n and 1 <= j <= n):
-            raise IndexError(f"indices {i},{j} out of range 1..{n}")
+            raise IndexRangeError(f"indices {i},{j} out of range 1..{n}")
         if i == j:
             return None
         flat = (i - 1) * n + (j - 1)
@@ -126,6 +131,21 @@ class StructureTensor:
             for j in range(i + 1, n + 1):
                 flat = (i - 1) * n + (j - 1)
                 yield i, j, self._target[flat] + 1, self._sign[flat]
+
+    def axis_entries(self) -> list:
+        """Per output axis k (0-based), the list of (i, j, sign) with
+        e_i x e_j = sign * e_k over ordered i != j (0-based): each axis gets
+        its n-1 entries, every pair in both orders. Read from the stored
+        arrays without copying them."""
+        n = self.dim.n
+        target, sign = self._target, self._sign
+        per_axis = [[] for _ in range(n)]
+        for i in range(n):
+            row = i * n
+            for j in range(n):
+                if i != j:
+                    per_axis[target[row + j]].append((i, j, sign[row + j]))
+        return per_axis
 
     def flat_arrays(self) -> Tuple[list, list]:
         """Copies of the 0-based flat target/sign arrays (kernel input form)."""
@@ -178,7 +198,7 @@ def pair_determinant(a: Vector, b: Vector, alpha: int, beta: int):
     """The 2x2 determinant a_alpha * b_beta - a_beta * b_alpha."""
     n = len(a)
     if not (1 <= alpha <= n and 1 <= beta <= n):
-        raise IndexError(f"indices {alpha},{beta} out of range 1..{n}")
+        raise IndexRangeError(f"indices {alpha},{beta} out of range 1..{n}")
     return a[alpha - 1] * b[beta - 1] - a[beta - 1] * b[alpha - 1]
 
 

@@ -8,16 +8,17 @@ quantities are of interest:
 * the cross term X_AB = |AxB|^2 - |A|^2 |B|^2 + (A.B)^2, the deviation
   from the Lagrange-style magnitude identity.
 
-X_AB is computed along three independent routes (direct norms, full
-four-index contraction, scheme-pair determinants) that must agree
-exactly on integer input. Identity-level questions ("is this zero for
-ALL vectors?") are decided exactly, never by sampling, in one verdict
-pass: each axis contributes one int mask of split and triple planes,
-and one pattern test on the OR of those masks decides X_AB (the Plücker
-criterion on 4-subsets) and orthogonality (total antisymmetry on
-triples), both proved in ``_off_pattern``. ``tensor_verdict`` gives a
-tensor's verdict and ``census`` every scheme's; a nonzero X_AB verdict
-always comes with a constructed 0/1 witness pair.
+X_AB is computed along three independent routes (direct norms, a
+contraction of the four-index tensor chi over its nonzero entries,
+scheme-pair determinants) that must agree exactly on integer input.
+Identity-level questions ("is this zero for ALL vectors?") are decided
+exactly, never by sampling, in one verdict pass: each axis contributes
+one int mask of split and triple planes, and one pattern test on the OR
+of those masks decides X_AB (the Plücker criterion on 4-subsets) and
+orthogonality (total antisymmetry on triples), both proved in
+``_off_pattern``. ``tensor_verdict`` gives a tensor's verdict and
+``census`` every scheme's; a nonzero X_AB verdict always comes with a
+constructed 0/1 witness pair.
 """
 
 from __future__ import annotations
@@ -65,34 +66,48 @@ def xab_direct(tensor: StructureTensor, a: Vector, b: Vector):
 
 
 def xab_tensor(tensor: StructureTensor, a: Vector, b: Vector):
-    """X_AB as the full four-index contraction of chi with a, b, a, b.
+    """X_AB as the contraction of chi with a, b, a, b, over the nonzero
+    entries of chi only.
 
     chi[i,j,l,m] = T[i,j,l,m] + delta(i,m) delta(j,l) - delta(j,m) delta(i,l)
-    where T[i,j,l,m] sums L[i,j,k] L[l,m,k] over the output axis k. The sum
-    runs over all ordered index 4-tuples, which is what makes the pairwise
-    route's factor 2 come out right.
+    where T[i,j,l,m] sums L[i,j,k] L[l,m,k] over the output axis k, and
+    X_AB is the sum of chi[i,j,l,m] a_i b_j a_l b_m over all ordered index
+    4-tuples, which is what makes the pairwise route's factor 2 come out
+    right. By linearity the sum splits into one sum per term of chi, and
+    each term is nonzero only on few 4-tuples:
+
+    * L[i,j,k] is nonzero only when i != j and k = target(i,j), where it
+      is the sign s_ij. So of the sum over k defining T[i,j,l,m] at most
+      the term k = target(i,j) is nonzero, and it is s_ij s_lm when
+      l != m and target(l,m) = k: T[i,j,l,m] != 0 only when i != j,
+      l != m and target(i,j) = target(l,m). The T sum is therefore, per
+      output axis k, the sum over ordered pairs of k's n-1 entries
+      (i, j, s), (l, m, s'), an entry paired also with itself and with
+      its reverse, of s s' a_i b_j a_l b_m.
+    * delta(i,m) delta(j,l) is nonzero only at (i,j,j,i) and
+      delta(j,m) delta(i,l) only at (i,j,i,j), each with value 1, so they
+      add a_i b_j a_j b_i - a_i b_j a_i b_j over all ordered (i, j); for
+      i = j the two cancel and are skipped.
+
+    A skipped 4-tuple has all three terms zero, so chi = 0 there, and the
+    result equals the dense n^4 contraction (kept as the test oracle
+    ``xab_dense`` in tests/expansion_oracle.py). The per-axis sums are
+    never squared as a whole: that would be ``xab_direct``'s |AxB|^2, and
+    the routes must stay independent.
     """
     n = _check_dims(tensor, a, b)
-    target, sign = tensor.flat_arrays()
     total = 0
+    for entries in tensor.axis_entries():
+        terms = [s * a[i] * b[j] for i, j, s in entries]
+        for t in terms:
+            for t2 in terms:
+                total += t * t2
     for i in range(n):
+        ai, bi = a[i], b[i]
         for j in range(n):
-            off = i * n + j
-            tij = target[off] if i != j else -1
-            sij = sign[off]
-            aibj = a[i] * b[j]
-            for l in range(n):
-                row = l * n
-                for m in range(n):
-                    chi = 0
-                    if tij >= 0 and l != m and target[row + m] == tij:
-                        chi = sij * sign[row + m]
-                    if i == m and j == l:
-                        chi += 1
-                    if j == m and i == l:
-                        chi -= 1
-                    if chi:
-                        total += aibj * a[l] * b[m] * chi
+            if i != j:
+                aibj = ai * b[j]
+                total += aibj * a[j] * bi - aibj * ai * b[j]
     return total
 
 

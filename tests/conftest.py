@@ -1,6 +1,7 @@
 import pytest
 
 from oddcross import build_tensor, feasible_dimension, parse_scheme_text
+from oddcross.schemes import _axis_choice_masks
 
 # Three 7-dimensional reference schemes used throughout: scheme 11 and 20
 # are the two whose canonical orientation satisfies the magnitude identity,
@@ -9,6 +10,25 @@ ROW3_5D = "24 35 / 13 45 / 14 25 / 15 23 / 12 34"
 ROW11_7D = "24 37 56 / 14 35 67 / 17 25 46 / 12 36 57 / 16 23 47 / 15 27 34 / 13 26 45"
 ROW20_7D = "26 34 57 / 16 37 45 / 14 27 56 / 13 25 67 / 17 24 36 / 12 35 47 / 15 23 46"
 ROW2_7D = "23 45 67 / 13 47 56 / 12 46 57 / 15 27 36 / 14 26 37 / 17 25 34 / 16 24 35"
+
+
+def random_branch(n, rng):
+    """A uniformly ordered depth-first exact cover: a random scheme's branch."""
+    masks = _axis_choice_masks(n)
+    orders = [rng.sample(range(len(m)), len(m)) for m in masks]
+
+    def dfs(depth, used):
+        if depth == n:
+            return ()
+        for choice in orders[depth]:
+            mask = masks[depth][choice]
+            if not mask & used:
+                rest = dfs(depth + 1, used | mask)
+                if rest is not None:
+                    return (choice,) + rest
+        return None
+
+    return dfs(0, 0)
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,13 @@
-"""The exact coefficient expansion of X_AB: the test oracle for the
-identity classifier in ``oddcross.verify``.
+"""Test oracles for ``oddcross.verify``.
 
-It accumulates the integer coefficient of every monomial a_i a_l b_j b_m
-of X_AB, an n^2 x n^2 table per product, so its X_AB verdict does not
-depend on the Plücker criterion that the package uses.
+``classify_product_table`` is the exact coefficient expansion of X_AB,
+the oracle for the identity classifier. It accumulates the integer
+coefficient of every monomial a_i a_l b_j b_m of X_AB, an n^2 x n^2 table
+per product, so its X_AB verdict does not depend on the Plücker
+criterion that the package uses.
+
+``xab_dense`` is the dense contraction of chi with a, b, a, b over all
+n^4 index 4-tuples, the oracle for the sparse ``verify.xab_tensor``.
 """
 
 
@@ -71,3 +75,36 @@ def classify_product_table(n, target, sign):
 
     xab_zero = not any(coeff)
     return ortho, xab_zero
+
+
+def xab_dense(tensor, a, b):
+    """X_AB as the full four-index contraction of chi with a, b, a, b.
+
+    chi[i,j,l,m] = T[i,j,l,m] + delta(i,m) delta(j,l) - delta(j,m) delta(i,l)
+    where T[i,j,l,m] sums L[i,j,k] L[l,m,k] over the output axis k. The sum
+    runs over all ordered index 4-tuples, which is what makes the pairwise
+    route's factor 2 come out right.
+    """
+    n = tensor.dim.n
+    assert len(a) == n and len(b) == n
+    target, sign = tensor.flat_arrays()
+    total = 0
+    for i in range(n):
+        for j in range(n):
+            off = i * n + j
+            tij = target[off] if i != j else -1
+            sij = sign[off]
+            aibj = a[i] * b[j]
+            for l in range(n):
+                row = l * n
+                for m in range(n):
+                    chi = 0
+                    if tij >= 0 and l != m and target[row + m] == tij:
+                        chi = sij * sign[row + m]
+                    if i == m and j == l:
+                        chi += 1
+                    if j == m and i == l:
+                        chi -= 1
+                    if chi:
+                        total += aibj * a[l] * b[m] * chi
+    return total

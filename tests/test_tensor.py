@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from oddcross import (
     DimensionMismatchError,
+    IndexRangeError,
+    OddCrossError,
     Pair,
     SelfPairError,
     StructureTensor,
@@ -90,6 +92,9 @@ class TestBuildTensor:
             tensor5_row3.lookup(0, 2)
         with pytest.raises(IndexError):
             tensor5_row3.lookup(1, 6)
+        with pytest.raises(OddCrossError) as info:
+            tensor5_row3.lookup(6, 1)
+        assert isinstance(info.value, IndexRangeError)
 
     def test_antisymmetry_and_entry_count(self, dim5):
         for scheme in enumerate_schemes(dim5):
@@ -234,6 +239,9 @@ class TestPairDeterminant:
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             pair_determinant((1, 2), (3, 4), 1, 3)
+        with pytest.raises(OddCrossError) as info:
+            pair_determinant((1, 2), (3, 4), 0, 1)
+        assert isinstance(info.value, IndexRangeError)
 
 
 class TestTensorValidation:
@@ -290,6 +298,4 @@ class TestTensorValidation:
             StructureTensor(dim, target, sign)
 
     def test_error_is_typed(self):
-        from oddcross import OddCrossError
-
         assert issubclass(TensorValidationError, OddCrossError)

@@ -1,17 +1,23 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddcross import (
     DuplicatePairError,
     EvenDimensionError,
     SchemeSyntaxError,
+    branch_scheme,
     emit_scheme_text,
     enumerate_schemes,
+    feasible_dimension,
     load_scheme,
     parse_scheme_text,
 )
 from oddcross.reference import reference_schemes
 
-from conftest import ROW3_5D
+from conftest import ROW3_5D, random_branch
 
 ROW3_FULL = "n=5\n1: 2-4 3-5\n2: 1-3 4-5\n3: 1-4 2-5\n4: 1-5 2-3\n5: 1-2 3-4"
 
@@ -94,6 +100,47 @@ class TestEmit:
     def test_round_trip_3d(self, dim3):
         for scheme in enumerate_schemes(dim3):
             assert parse_scheme_text(emit_scheme_text(scheme)) == scheme
+
+
+def scrambled_pairs(scheme, rng):
+    """Each axis's pairs in random order, each pair's members in random order."""
+    out = []
+    for matching in scheme.matchings:
+        pairs = [tuple(rng.sample(tuple(p), 2)) for p in matching.pairs]
+        rng.shuffle(pairs)
+        out.append(pairs)
+    return out
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([3, 5, 7, 9, 11]), seed=st.integers(0, 2**32))
+    def test_canonical_form(self, n, seed):
+        rng = random.Random(seed)
+        scheme = branch_scheme(feasible_dimension(n), random_branch(n, rng))
+        text = emit_scheme_text(scheme)
+        assert parse_scheme_text(text) == scheme
+        assert emit_scheme_text(parse_scheme_text(text)) == text
+        # Axis lines in any order, pairs and members in any order.
+        lines = [
+            f"{axis}: " + " ".join(f"{x}-{y}" for x, y in pairs)
+            for axis, pairs in enumerate(scrambled_pairs(scheme, rng), 1)
+        ]
+        rng.shuffle(lines)
+        assert emit_scheme_text(parse_scheme_text(f"n={n}\n" + "\n".join(lines))) == text
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([3, 5, 7, 9]), seed=st.integers(0, 2**32))
+    def test_compact_form(self, n, seed):
+        rng = random.Random(seed)
+        # Two-digit tokens, so the compact form stops at n = 9.
+        scheme = branch_scheme(feasible_dimension(n), random_branch(n, rng))
+        text = " / ".join(
+            " ".join(f"{x}{y}" for x, y in pairs) for pairs in scrambled_pairs(scheme, rng)
+        )
+        assert parse_scheme_text(text) == scheme
+        assert parse_scheme_text(text, n) == scheme
+        assert parse_scheme_text(emit_scheme_text(parse_scheme_text(text))) == scheme
 
 
 class TestLoadScheme:

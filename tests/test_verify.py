@@ -1,9 +1,11 @@
 import io
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
-from expansion_oracle import classify_product_table
+from conftest import random_branch
+from expansion_oracle import classify_product_table, xab_dense
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +32,6 @@ from oddcross import (
     xab_tensor,
 )
 from oddcross.reference import reference_schemes
-from oddcross.schemes import _axis_choice_masks
 from oddcross.verify import (
     _census_rows,
     _layout,
@@ -46,6 +47,17 @@ def unit(n, k):
 
 def rand_vec(rng, n, lo=-5, hi=5):
     return tuple(rng.randint(lo, hi) for _ in range(n))
+
+
+def assert_routes_agree(tensor, a, b, scheme=None):
+    """The sparse ``xab_tensor`` and ``xab_direct`` (and ``xab_pairs`` when
+    the scheme is given) equal the dense n^4 contraction; returns it."""
+    dense = xab_dense(tensor, a, b)
+    assert xab_tensor(tensor, a, b) == dense
+    assert xab_direct(tensor, a, b) == dense
+    if scheme is not None:
+        assert xab_pairs(tensor, a, b, scheme) == dense
+    return dense
 
 
 class TestDefects:
@@ -90,24 +102,54 @@ class TestXabRoutes:
             assert xab_pairs(tensor7_row11, a, b, scheme7_row11) == 0
 
     def test_basis_pairs_zero(self, tensor5_row3):
+        # i == j included: there the two delta terms of chi cancel.
         for i in range(1, 6):
             for j in range(1, 6):
-                if i != j:
-                    assert xab_direct(tensor5_row3, unit(5, i), unit(5, j)) == 0
+                assert assert_routes_agree(tensor5_row3, unit(5, i), unit(5, j)) == 0
 
     def test_path_equivalence_random_schemes(self):
         rng = random.Random(123)
-        for n in (3, 5, 7):
+        for n in (3, 5, 7, 9):
             dim = feasible_dimension(n)
-            schemes = list(enumerate_schemes(dim))
-            picks = schemes if n < 7 else rng.sample(schemes, 25)
+            if n < 7:
+                picks = list(enumerate_schemes(dim))
+            else:
+                picks = [branch_scheme(dim, random_branch(n, rng)) for _ in range(25)]
             for scheme in picks:
                 tensor = build_tensor(scheme)
                 for _ in range(5):
-                    a, b = rand_vec(rng, n), rand_vec(rng, n)
-                    direct = xab_direct(tensor, a, b)
-                    assert xab_tensor(tensor, a, b) == direct
-                    assert xab_pairs(tensor, a, b, scheme) == direct
+                    assert_routes_agree(tensor, rand_vec(rng, n), rand_vec(rng, n), scheme)
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    def test_fraction_paths_agree(self, n):
+        # Exact rationals: a slip in any term shows as a nonzero difference.
+        rng = random.Random(200 + n)
+        dim = feasible_dimension(n)
+        for _ in range(6):
+            scheme = branch_scheme(dim, random_branch(n, rng))
+            a, b = (
+                [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)]
+                for _ in range(2)
+            )
+            assert_routes_agree(build_tensor(scheme), a, b, scheme)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_routes_agree_with_arbitrary_signs(self, data):
+        # Any signs, integer and Fraction entries mixed; the pair route
+        # needs the canonical signs, so only the other two routes run.
+        n = data.draw(st.sampled_from([3, 5, 7, 9]))
+        rng = data.draw(st.randoms(use_true_random=False))
+        dim = feasible_dimension(n)
+        target, sign = build_tensor(branch_scheme(dim, random_branch(n, rng))).flat_arrays()
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.3:
+                    sign[i * n + j], sign[j * n + i] = -sign[i * n + j], -sign[j * n + i]
+        tensor = StructureTensor(dim, target, sign)
+        entry = st.integers(-5, 5) | st.fractions(-3, 3, max_denominator=6)
+        a, b = (data.draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(2))
+        assert_routes_agree(tensor, a, b)
 
     def test_scaling_covariance(self, tensor5_row3):
         rng = random.Random(17)
@@ -207,25 +249,6 @@ class TestIdentityDecisions:
 def oracle_verdict(tensor):
     target, sign = tensor.flat_arrays()
     return classify_product_table(tensor.dim.n, target, sign)
-
-
-def random_branch(n, rng):
-    """A uniformly ordered depth-first exact cover: a random scheme's branch."""
-    masks = _axis_choice_masks(n)
-    orders = [rng.sample(range(len(m)), len(m)) for m in masks]
-
-    def dfs(depth, used):
-        if depth == n:
-            return ()
-        for choice in orders[depth]:
-            mask = masks[depth][choice]
-            if not mask & used:
-                rest = dfs(depth + 1, used | mask)
-                if rest is not None:
-                    return (choice,) + rest
-        return None
-
-    return dfs(0, 0)
 
 
 class TestPluckerCriterion:
