@@ -9,6 +9,7 @@ dimension by exact identity tests.
 from .errors import (
     AxisRangeError,
     BadMatchingError,
+    ChoiceRangeError,
     DimensionMismatchError,
     DimensionTooSmallError,
     DuplicatePairError,
@@ -42,7 +43,6 @@ from .tensor import (
     StructureTensor,
     TensorEntry,
     build_tensor,
-    cross,
     dot,
     orient_pair,
     pair_determinant,

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: dims, matchings, enumerate, tensor, cross, verify, census,
-tables. Exit status is 0 on success, 1 on any validation or parse error,
-and 2 when table reproduction fails.
+tables. Exit status is 0 on success, 1 on any validation or parse error
+or when the reader of stdout closes it early, and 2 when table
+reproduction fails.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 from .errors import OddCrossError
@@ -237,9 +239,16 @@ def main(argv=None) -> int:
         print("error: limit must be >= 1", file=sys.stderr)
         return 1
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except OddCrossError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader closed stdout early (`| head`). Point stdout at devnull
+        # so the interpreter's final flush does not fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -25,6 +25,12 @@ class IndexRangeError(OddCrossError, IndexError):
     """A basis index outside 1..n."""
 
 
+class ChoiceRangeError(OddCrossError):
+    """Matching choices that do not fit the axes: a choice outside an
+    axis's candidates, a prefix longer than the axes, or a branch without
+    exactly one choice per axis."""
+
+
 class SchemeValidationError(OddCrossError):
     """A candidate pairing scheme violates a structural invariant."""
 

@@ -18,6 +18,7 @@ from . import kernels
 from .errors import (
     AxisRangeError,
     BadMatchingError,
+    ChoiceRangeError,
     DimensionTooSmallError,
     DuplicatePairError,
     EvenDimensionError,
@@ -142,11 +143,6 @@ class Scheme:
         """Map each unordered pair to the axis it is assigned to."""
         return {p: m.axis for m in self.matchings for p in m.pairs}
 
-    def axis_pairs(self, axis: int) -> Tuple[Pair, ...]:
-        if not 1 <= axis <= self.dim.n:
-            raise AxisRangeError(f"axis {axis} out of range 1..{self.dim.n}")
-        return self.matchings[axis - 1].pairs
-
     def __str__(self) -> str:
         return " / ".join(str(m) for m in self.matchings)
 
@@ -218,28 +214,42 @@ def _axis_choice_masks(n: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(masks)
 
 
-def branch_scheme(dim: Dimension, branch: Sequence[int]) -> Scheme:
-    """Materialize the scheme picked by per-axis matching indices."""
+def _branch_scheme(dim: Dimension, branch: Sequence[int]) -> Scheme:
+    # Unchecked: for branches the kernel yields, valid by construction.
     matchings = tuple(
         axis_matchings(dim, axis)[branch[axis - 1]] for axis in range(1, dim.n + 1)
     )
     return Scheme(dim, matchings)
 
 
+def branch_scheme(dim: Dimension, branch: Sequence[int]) -> Scheme:
+    """Materialize the scheme picked by per-axis matching indices.
+
+    Raises ChoiceRangeError unless ``branch`` holds one index per axis,
+    each inside that axis's matchings, and DuplicatePairError when two
+    chosen matchings share a pair.
+    """
+    if len(branch) != dim.n:
+        raise ChoiceRangeError(f"branch has {len(branch)} choices, need one per axis ({dim.n})")
+    masks = _axis_choice_masks(dim.n)
+    for d, choice in enumerate(branch):
+        kernels._check_choice(masks, d, choice)
+    scheme = _branch_scheme(dim, branch)
+    return validate_scheme(dim.n, [m.pairs for m in scheme.matchings])
+
+
 def scheme_branches(
     dim: Dimension,
     *,
     prefix: Sequence[int] = (),
-    resume_after: Optional[Sequence[int]] = None,
     limit: Optional[int] = None,
 ) -> Iterator[Tuple[int, ...]]:
     """Stream branch tuples (per-axis matching indices) in DFS order.
 
-    The scan is lazy, so arbitrarily large dimensions stream;
-    ``resume_after`` restarts a previous scan just after that branch and
-    ``prefix`` restricts it to one subtree.
+    The scan is lazy, so arbitrarily large dimensions stream; ``prefix``
+    restricts it to the subtree of branches that begin with it.
     """
-    covers = kernels.enumerate_covers(_axis_choice_masks(dim.n), prefix, resume_after)
+    covers = kernels.enumerate_covers(_axis_choice_masks(dim.n), prefix)
     yield from islice(covers, limit)
 
 
@@ -247,7 +257,6 @@ def enumerate_schemes(
     dim: Dimension,
     *,
     prefix: Sequence[int] = (),
-    resume_after: Optional[Sequence[int]] = None,
     limit: Optional[int] = None,
 ) -> Iterator[Scheme]:
     """Yield every valid scheme exactly once, in DFS lexicographic order.
@@ -257,10 +266,8 @@ def enumerate_schemes(
     with all-distinct pairs is automatically an exact cover (n(n-1)/2 slots
     for n(n-1)/2 pairs), so no post-filtering is needed.
     """
-    for branch in scheme_branches(
-        dim, prefix=prefix, resume_after=resume_after, limit=limit
-    ):
-        yield branch_scheme(dim, branch)
+    for branch in scheme_branches(dim, prefix=prefix, limit=limit):
+        yield _branch_scheme(dim, branch)
 
 
 def is_closed(scheme: Scheme) -> bool:

@@ -190,10 +190,6 @@ def build_tensor(scheme: Scheme) -> StructureTensor:
     return StructureTensor.from_scheme(scheme)
 
 
-def cross(tensor: StructureTensor, a: Vector, b: Vector) -> list:
-    return tensor.cross(a, b)
-
-
 def pair_determinant(a: Vector, b: Vector, alpha: int, beta: int):
     """The 2x2 determinant a_alpha * b_beta - a_beta * b_alpha."""
     n = len(a)

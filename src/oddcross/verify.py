@@ -37,7 +37,7 @@ from .schemes import (
     pair_index,
     scheme_branches,
 )
-from .tensor import StructureTensor, Vector, build_tensor, dot, orient_pair, pair_determinant
+from .tensor import StructureTensor, Vector, dot, orient_pair, pair_determinant
 
 CENSUS_CSV_HEADER = ("scheme_id", "closed", "orthogonality_zero", "xab_zero", "witness")
 
@@ -423,10 +423,10 @@ class DefectReport:
 
 
 def defect_report(
-    scheme: Scheme, a: Vector, b: Vector, tensor: Optional[StructureTensor] = None
+    scheme: Scheme, a: Vector, b: Vector, tensor: StructureTensor
 ) -> DefectReport:
-    if tensor is None:
-        tensor = build_tensor(scheme)
+    """Orthogonality defects and X_AB by all three routes for one (A, B),
+    on ``tensor``, the structure tensor of ``scheme``."""
     d_a, d_b = orthogonality_defect(tensor, a, b)
     return DefectReport(
         dot_with_a=d_a,
@@ -448,7 +448,7 @@ class CensusRecord:
     witness: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None
 
 
-def _census_rows(n: int, branches, witnesses: bool):
+def _census_rows(n: int, branches):
     """The verdict of each branch tuple, straight from the per-matching
     masks: no Scheme or StructureTensor is built."""
     layout = _layout(n)
@@ -457,21 +457,20 @@ def _census_rows(n: int, branches, witnesses: bool):
         mask = 0
         for axis_masks, choice in zip(masks, branch):
             mask |= axis_masks[choice]
-        yield _verdict(layout, mask, witnesses)
+        yield _verdict(layout, mask)
 
 
 def census(
     dim: Dimension,
     *,
     limit: Optional[int] = None,
-    witnesses: bool = True,
 ) -> Iterator[CensusRecord]:
     """Classify every scheme of the dimension, in enumeration order.
 
     Each record carries the scheme's verdict under the canonical
     orientation (see ``tensor_verdict``).
     """
-    rows = _census_rows(dim.n, scheme_branches(dim, limit=limit), witnesses)
+    rows = _census_rows(dim.n, scheme_branches(dim, limit=limit))
     for scheme_id, verdict in enumerate(rows, 1):
         yield CensusRecord(scheme_id, *verdict)
 

@@ -171,7 +171,7 @@ def test_criterion_07_orthogonality_census(report):
     closed_counts = {}
     for n in (3, 5, 7):
         dim = feasible_dimension(n)
-        records = list(census(dim, witnesses=False))
+        records = list(census(dim))
         schemes = list(enumerate_schemes(dim))
         assert len(records) == len(schemes)
         for rec, scheme in zip(records, schemes):

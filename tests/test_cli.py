@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import oddcross
 from oddcross.cli import format_combination, main
 
 from conftest import ROW2_7D, ROW3_5D, ROW11_7D
@@ -181,3 +185,33 @@ class TestErrors:
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: {str(path)!r} is not UTF-8 text:")
+
+    @pytest.mark.parametrize(
+        "argv,lines_read",
+        [
+            # `| head -1`: the output is larger than a pipe buffer, so the
+            # writer is still writing when the reader leaves.
+            (["census", "-n", "7"], 1),
+            (["enumerate", "-n", "7"], 1),
+            # `| true`: the output fits stdout's buffer, so the first write
+            # is the final flush.
+            (["census", "-n", "7", "--limit", "50"], 0),
+        ],
+    )
+    def test_reader_closes_pipe(self, argv, lines_read):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(oddcross.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "oddcross.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        for _ in range(lines_read):
+            assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert b"Traceback" not in err
+        assert b"Exception ignored" not in err

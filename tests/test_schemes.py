@@ -1,16 +1,21 @@
+import itertools
 import math
+import random
 
 import pytest
 
 from oddcross import (
     BadMatchingError,
+    ChoiceRangeError,
     DimensionTooSmallError,
     DuplicatePairError,
     EvenDimensionError,
     MissingPairError,
+    OddCrossError,
     Pair,
     SelfPairError,
     axis_matchings,
+    branch_scheme,
     enumerate_schemes,
     feasible_dimension,
     is_closed,
@@ -174,7 +179,7 @@ class TestEnumeration:
     def test_limit(self, dim7):
         assert len(list(enumerate_schemes(dim7, limit=17))) == 17
 
-    def test_prefix_partitions_cover_stream(self, dim5):
+    def test_prefix_partitions_cover_stream(self, dim5, dim7):
         full = list(scheme_branches(dim5))
         parts = [list(scheme_branches(dim5, prefix=(c,))) for c in range(3)]
         union = [b for part in parts for b in part]
@@ -184,28 +189,19 @@ class TestEnumeration:
         # full-length prefix that is a branch is its own subtree.
         assert list(scheme_branches(dim5, prefix=(0, 0))) == []
         assert list(scheme_branches(dim5, prefix=full[3])) == [full[3]]
-
-    def test_resume_after(self, dim7):
-        # Inside a prefix, the scan resumes with the tail of that subtree.
-        # Resuming at the last branch, or at a full-length prefix, is empty.
-        full = list(scheme_branches(dim7))[1234]
-        for prefix, at in (((), 1234), ((3,), 208), ((), 0), ((), -1), (full, 0)):
-            branches = list(scheme_branches(dim7, prefix=prefix))
-            at %= len(branches)
-            mid = branches[at]
-            resumed = scheme_branches(dim7, prefix=prefix, resume_after=mid)
-            assert list(resumed) == branches[at + 1 :]
-
-    def test_resume_in_chunks(self, dim5):
-        full = list(scheme_branches(dim5))
-        collected, after = [], None
-        while True:
-            batch = list(scheme_branches(dim5, resume_after=after, limit=2))
-            collected.extend(batch)
-            if len(batch) < 2:
-                break
-            after = batch[-1]
-        assert collected == full
+        # Against a filter of the full stream: every in-range prefix of
+        # every length at n=5, and the prefixes of random n=7 branches.
+        prefixes = [
+            p for length in range(6) for p in itertools.product(range(3), repeat=length)
+        ]
+        for prefix in prefixes:
+            expected = [b for b in full if b[: len(prefix)] == prefix]
+            assert list(scheme_branches(dim5, prefix=prefix)) == expected
+        full7 = list(scheme_branches(dim7))
+        sample = random.Random(7).sample(full7, 20)
+        for prefix in sorted({b[:length] for b in sample for length in range(8)}):
+            expected = [b for b in full7 if b[: len(prefix)] == prefix]
+            assert list(scheme_branches(dim7, prefix=prefix)) == expected
 
     @pytest.mark.parametrize("prefix", [(-1,), (3,), (0, 15), (0, 0, -1)])
     def test_out_of_range_prefix_rejected(self, dim5, prefix):
@@ -215,19 +211,22 @@ class TestEnumeration:
             list(scheme_branches(dim5, prefix=prefix))
 
     @pytest.mark.parametrize(
-        "prefix,resume,match",
+        "branch,error,match",
         [
-            pytest.param((), (0, 1, -1, 0, 2), "outside", id="resume0"),
-            pytest.param((), (0, 1, 3, 0, 2), "outside", id="resume1"),
-            # In range but reuses pairs, so the scan never yields it.
-            pytest.param((), (0, 0, 0, 0, 0), "not a valid branch", id="reused_pair"),
-            # Checked even though the prefix itself conflicts.
-            pytest.param((0, 0), (0, 1, 2, 0, 1), "outside", id="conflicting_prefix"),
+            # A negative choice must not wrap to the last matching of axis 1.
+            ((-1, 0, 0, 0, 0), ChoiceRangeError, "outside 0..2"),
+            ((0, 0, 0, 0, 3), ChoiceRangeError, "outside 0..2"),
+            # In range, but axes 1 and 2 both take pair 4-5.
+            ((0, 0, 0, 0, 0), DuplicatePairError, "4-5"),
+            # Too short: a typed error, not an IndexError from indexing.
+            ((0, 0), ChoiceRangeError, "one per axis"),
         ],
     )
-    def test_out_of_range_resume_rejected(self, dim5, prefix, resume, match):
-        with pytest.raises(ValueError, match=match):
-            list(scheme_branches(dim5, prefix=prefix, resume_after=resume))
+    def test_invalid_branch_rejected(self, dim5, branch, error, match):
+        with pytest.raises(error, match=match) as info:
+            branch_scheme(dim5, branch)
+        assert isinstance(info.value, OddCrossError)
+        assert isinstance(info.value, ValueError)
 
     def test_lazy_stream_large_dimension(self):
         dim9 = feasible_dimension(9)

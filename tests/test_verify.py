@@ -257,7 +257,7 @@ class TestPluckerCriterion:
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_census_matches_expansion_oracle(self, n):
         dim = feasible_dimension(n)
-        for rec, scheme in zip(census(dim, witnesses=False), enumerate_schemes(dim)):
+        for rec, scheme in zip(census(dim), enumerate_schemes(dim)):
             tensor = build_tensor(scheme)
             ortho, xab = oracle_verdict(tensor)
             assert rec.closed == is_closed(scheme)
@@ -287,7 +287,7 @@ class TestPluckerCriterion:
         scheme = branch_scheme(dim, branch)
         tensor = build_tensor(scheme)
         ortho, xab = oracle_verdict(tensor)
-        ((closed, ortho_zero, xab_zero, witness),) = _census_rows(9, [branch], True)
+        ((closed, ortho_zero, xab_zero, witness),) = _census_rows(9, [branch])
         assert closed == is_closed(scheme)
         assert ortho_zero == ortho
         assert xab_zero == xab
@@ -452,9 +452,7 @@ class TestCensus:
 
     def test_closure_matches_orthogonality(self, dim5, dim7):
         for dim in (dim5, dim7):
-            for rec, scheme in zip(
-                census(dim, witnesses=False), enumerate_schemes(dim)
-            ):
+            for rec, scheme in zip(census(dim), enumerate_schemes(dim)):
                 assert rec.orthogonality_zero == is_closed(scheme)
 
     def test_csv_shape(self, dim5):
