@@ -200,12 +200,18 @@ def validate_scheme(n: int, pair_lists: Sequence[Iterable]) -> Scheme:
 
 
 @lru_cache(maxsize=None)
-def _axis_choice_masks(n: int) -> Tuple[Tuple[int, ...], ...]:
+def _all_axis_matchings(n: int) -> Tuple[Tuple[Matching, ...], ...]:
+    """``axis_matchings`` of every axis of an odd n, indexed by axis - 1."""
     dim = feasible_dimension(n)
+    return tuple(axis_matchings(dim, axis) for axis in range(1, n + 1))
+
+
+@lru_cache(maxsize=None)
+def _axis_choice_masks(n: int) -> Tuple[Tuple[int, ...], ...]:
     masks = []
-    for axis in range(1, n + 1):
+    for matchings in _all_axis_matchings(n):
         axis_masks = []
-        for matching in axis_matchings(dim, axis):
+        for matching in matchings:
             mask = 0
             for p in matching.pairs:
                 mask |= 1 << pair_index(n, p)
@@ -216,10 +222,8 @@ def _axis_choice_masks(n: int) -> Tuple[Tuple[int, ...], ...]:
 
 def _branch_scheme(dim: Dimension, branch: Sequence[int]) -> Scheme:
     # Unchecked: for branches the kernel yields, valid by construction.
-    matchings = tuple(
-        axis_matchings(dim, axis)[branch[axis - 1]] for axis in range(1, dim.n + 1)
-    )
-    return Scheme(dim, matchings)
+    per_axis = _all_axis_matchings(dim.n)
+    return Scheme(dim, tuple([matchings[c] for matchings, c in zip(per_axis, branch)]))
 
 
 def branch_scheme(dim: Dimension, branch: Sequence[int]) -> Scheme:

@@ -17,18 +17,23 @@ from __future__ import annotations
 
 import os
 import sys
+from functools import lru_cache
 from typing import Optional
 
 from .errors import SchemeSyntaxError
-from .schemes import Scheme, validate_scheme
+from .schemes import Matching, Scheme, validate_scheme
+
+
+# An n=9 stream draws its lines from 9 x 105 matchings; the bound keeps
+# emitting parsed large-n schemes from growing the cache without limit.
+@lru_cache(maxsize=2**14)
+def _matching_line(matching: Matching) -> str:
+    return f"{matching.axis}: {matching}\n"
 
 
 def emit_scheme_text(scheme: Scheme) -> str:
     """Canonical serialization; parse_scheme_text inverts it exactly."""
-    lines = [f"n={scheme.dim.n}"]
-    for matching in scheme.matchings:
-        lines.append(f"{matching.axis}: {matching}")
-    return "\n".join(lines) + "\n"
+    return f"n={scheme.dim.n}\n" + "".join(map(_matching_line, scheme.matchings))
 
 
 def _parse_pair_token(token: str, lineno: int) -> tuple:
@@ -44,11 +49,15 @@ def _parse_pair_token(token: str, lineno: int) -> tuple:
     )
 
 
-def _parse_full(lines) -> Scheme:
+def _parse_full(lines, expected_n: Optional[int]) -> Scheme:
     header = lines[0][1].strip()
     if not header.startswith("n=") or not header[2:].isdigit():
         raise SchemeSyntaxError(f"expected 'n=<odd>' header, got {header!r}", line=lines[0][0])
     n = int(header[2:])
+    if expected_n is not None and n != expected_n:
+        raise SchemeSyntaxError(
+            f"header says n={n}, but n={expected_n} was given", line=lines[0][0]
+        )
     by_axis: dict[int, list] = {}
     for lineno, line in lines[1:]:
         text = line.strip()
@@ -92,14 +101,15 @@ def parse_scheme_text(text: str, n: Optional[int] = None) -> Scheme:
     """Parse either the canonical format or the compact double-digit form.
 
     For the compact form the dimension is inferred from the number of "/"
-    separated groups unless ``n`` is given explicitly.
+    separated groups unless ``n`` is given explicitly. A given ``n`` that
+    differs from the canonical form's ``n=`` header is a SchemeSyntaxError.
     """
     numbered = [(i + 1, line) for i, line in enumerate(text.splitlines())]
     meaningful = [(i, l) for i, l in numbered if l.strip() and not l.lstrip().startswith("#")]
     if not meaningful:
         raise SchemeSyntaxError("empty scheme text")
     if meaningful[0][1].lstrip().startswith("n="):
-        return _parse_full(meaningful)
+        return _parse_full(meaningful, n)
     return _parse_compact("\n".join(l for _, l in meaningful), n)
 
 

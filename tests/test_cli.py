@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -125,6 +126,25 @@ class TestCommands:
         assert code == 0
         assert "overall: PASS" in out
 
+    # sha256 of stdout before the walk looked up its last two axes: any
+    # change of order or format shows here.
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            ("enumerate -n 7", "2c9d619ab9b76d15c82342583630371ed301bc4e941481a09d14286a286ade36"),
+            (
+                "enumerate -n 7 --format jsonl",
+                "23f21ce2aa51d5a1870c30f25401c3c6e919d74d63531acea1a5a89064ed5740",
+            ),
+            ("census -n 7", "a69aa66517cdbfeadd788ae9a1e6a0b2ace4a7de0cd34c40d7bf8a5f75b5fe16"),
+        ],
+        ids=["enumerate-text", "enumerate-jsonl", "census"],
+    )
+    def test_pinned_output(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
     def test_scheme_from_file(self, capsys, tmp_path):
         path = tmp_path / "s.txt"
         path.write_text("n=5\n1: 2-4 3-5\n2: 1-3 4-5\n3: 1-4 2-5\n4: 1-5 2-3\n5: 1-2 3-4\n")
@@ -143,6 +163,12 @@ class TestErrors:
         code, _, err = run(capsys, "tensor", "--scheme", "23 45 / 13 45 / 14 25 / 15 23 / 12 34")
         assert code == 1
         assert "error:" in err
+
+    def test_n_contradicting_header(self, capsys):
+        code, out, err = run(capsys, "verify", "--scheme", "n=3\n1: 2-3\n2: 1-3\n3: 1-2", "-n", "7")
+        assert code == 1
+        assert out == ""
+        assert err == "error: header says n=3, but n=7 was given (line 1)\n"
 
     def test_bad_vector(self, capsys):
         code, _, err = run(

@@ -68,6 +68,14 @@ class TestParse:
         with pytest.raises(SchemeSyntaxError):
             parse_scheme_text("   \n  ")
 
+    def test_n_contradicting_header(self, scheme5_row3):
+        # The compact form already rejected a wrong n; the header form
+        # used to ignore it.
+        with pytest.raises(SchemeSyntaxError, match="n=5.*n=7") as err:
+            parse_scheme_text(ROW3_FULL, 7)
+        assert err.value.line == 1
+        assert parse_scheme_text(ROW3_FULL, 5) == scheme5_row3
+
     def test_comment_lines_ignored(self, scheme5_row3):
         assert parse_scheme_text("# comment\n" + ROW3_FULL) == scheme5_row3
 
