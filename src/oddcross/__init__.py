@@ -56,11 +56,9 @@ from .verify import (
     find_witness,
     format_witness,
     orthogonality_defect,
-    orthogonality_identically_zero,
     tensor_verdict,
     write_census_csv,
     xab_direct,
-    xab_identically_zero,
     xab_pairs,
     xab_tensor,
 )

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 
@@ -18,7 +17,7 @@ from .errors import OddCrossError
 from .reference import reproduce_tables
 from .schemes import axis_matchings, enumerate_schemes, feasible_dimension
 from .tensor import build_tensor
-from .textio import emit_scheme_text, load_scheme
+from .textio import emit_scheme_json, emit_scheme_text, load_scheme
 from .verify import census, defect_report, format_witness, tensor_verdict, write_census_csv
 
 
@@ -101,12 +100,7 @@ def _cmd_enumerate(args) -> int:
     with _open_output(args.output) as out:
         if args.format == "jsonl":
             for i, scheme in enumerate(stream, 1):
-                row = {
-                    "scheme_id": i,
-                    "n": dim.n,
-                    "axes": [[str(p) for p in m.pairs] for m in scheme.matchings],
-                }
-                out.write(json.dumps(row, separators=(",", ":")) + "\n")
+                out.write(emit_scheme_json(i, scheme))
         else:
             first = True
             for scheme in stream:

@@ -64,7 +64,7 @@ class MissingPairError(SchemeValidationError):
 
 
 class TensorValidationError(OddCrossError):
-    """Flat target/sign arrays that do not describe a signed scheme product."""
+    """Target/sign lists that do not describe a signed scheme product."""
 
 
 class DimensionMismatchError(OddCrossError):

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import islice
+from operator import index
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from . import kernels
@@ -30,16 +31,28 @@ from .errors import (
 
 @dataclass(frozen=True)
 class Dimension:
-    """An odd dimension n together with the pair budget of each axis."""
+    """An odd dimension n >= 3 together with the pair budget of each axis.
+
+    The n(n-1)/2 unordered pairs split into n equal groups only when
+    (n-1)/2 is an integer, so even n is rejected outright, and each axis
+    then holds pairs_per_axis = (n-1)/2 pairs.
+    """
 
     n: int
     pairs_per_axis: int
 
     def __post_init__(self):
-        if self.n != 2 * self.pairs_per_axis + 1:
-            raise SchemeValidationError(
-                f"inconsistent dimension: n={self.n}, pairs_per_axis={self.pairs_per_axis}"
+        n, half = self.n, self.pairs_per_axis
+        if not isinstance(n, int):
+            raise SchemeValidationError(f"dimension must be an int, got {n!r}")
+        if n < 3:
+            raise DimensionTooSmallError(f"need at least 3 dimensions, got {n}")
+        if n % 2 == 0:
+            raise EvenDimensionError(
+                f"n={n}: {n * (n - 1) // 2} pairs cannot be split evenly over {n} axes"
             )
+        if not isinstance(half, int) or half != (n - 1) // 2:
+            raise SchemeValidationError(f"inconsistent dimension: n={n}, pairs_per_axis={half!r}")
 
     @property
     def pair_count(self) -> int:
@@ -53,18 +66,8 @@ class Dimension:
 
 
 def feasible_dimension(n: int) -> Dimension:
-    """Check that n indices can share their pairs evenly, one axis each.
-
-    The n(n-1)/2 unordered pairs split into n equal groups only when
-    (n-1)/2 is an integer, so even n is rejected outright.
-    """
-    if n < 3:
-        raise DimensionTooSmallError(f"need at least 3 dimensions, got {n}")
-    if n % 2 == 0:
-        raise EvenDimensionError(
-            f"n={n}: {n * (n - 1) // 2} pairs cannot be split evenly over {n} axes"
-        )
-    return Dimension(n=n, pairs_per_axis=(n - 1) // 2)
+    """The Dimension of n, checked as ``Dimension`` checks it."""
+    return Dimension(n, (n - 1) // 2)
 
 
 class Pair(NamedTuple):
@@ -151,7 +154,7 @@ def validate_scheme(n: int, pair_lists: Sequence[Iterable]) -> Scheme:
     """Check a raw per-axis pair assignment and build the Scheme.
 
     ``pair_lists[k-1]`` holds the pairs claimed for axis k, each pair any
-    2-sequence of indices. Raises the most specific violation found:
+    2-sequence of int indices. Raises the most specific violation found:
     SelfPair, BadMatching (overlap within an axis), DuplicatePair (pair on
     two axes), or MissingPair (pair on no axis).
     """
@@ -166,7 +169,13 @@ def validate_scheme(n: int, pair_lists: Sequence[Iterable]) -> Scheme:
         axis = axis0 + 1
         pairs = []
         for raw in raw_pairs:
-            a, b = raw
+            try:
+                a, b = raw
+                a, b = index(a), index(b)
+            except (TypeError, ValueError):
+                raise SchemeValidationError(
+                    f"axis {axis}: pair {raw!r} is not two int indices"
+                ) from None
             p = make_pair(a, b)
             if p.hi > n:
                 raise SchemeValidationError(
@@ -250,8 +259,12 @@ def scheme_branches(
 ) -> Iterator[Tuple[int, ...]]:
     """Stream branch tuples (per-axis matching indices) in DFS order.
 
-    The scan is lazy, so arbitrarily large dimensions stream; ``prefix``
-    restricts it to the subtree of branches that begin with it.
+    ``prefix`` restricts the walk to the subtree of branches that begin
+    with it. The walk is lazy, but its input is not: before the first
+    branch, ``_axis_choice_masks`` builds every axis's (n-2)!! matchings
+    and their masks: 135k matchings over all axes at n=13 (1.4-1.8 s and a
+    64 MB peak RSS before the first branch, Python 3.11 on a 2-core
+    machine), 2.0M at n=15 and 34.5M at n=17. Large n do not stream.
     """
     covers = kernels.enumerate_covers(_axis_choice_masks(dim.n), prefix)
     yield from islice(covers, limit)

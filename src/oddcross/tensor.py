@@ -11,6 +11,8 @@ float vectors go through ordinary double precision.
 
 from __future__ import annotations
 
+from itertools import combinations
+from operator import index
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
@@ -19,7 +21,7 @@ from .errors import (
     SelfPairError,
     TensorValidationError,
 )
-from .schemes import Dimension, Pair, Scheme
+from .schemes import Dimension, Pair, Scheme, pair_index
 
 Vector = Sequence
 
@@ -40,37 +42,37 @@ def orient_pair(pair: Pair, axis: int) -> Tuple[int, int]:
 
 
 def _validate(n: int, target: list, sign: list) -> None:
-    size = n * n
+    size = n * (n - 1) // 2
     if len(target) != size or len(sign) != size:
         raise TensorValidationError(
-            f"target and sign need {size} entries for n={n}, "
+            f"target and sign need {size} entries for n={n}, one per pair i < j, "
             f"got {len(target)} and {len(sign)}"
         )
     used = [0] * n  # per axis: bitmask of the indices its pairs hold
-    for i in range(n):
-        row = i * n
-        if target[row + i] != -1 or sign[row + i] != 0:
-            raise TensorValidationError(f"diagonal entry ({i + 1}, {i + 1}) must be (-1, 0)")
-        for j in range(i + 1, n):
-            k = target[row + j]
-            s = sign[row + j]
-            if not 0 <= k < n or k == i or k == j:
-                raise TensorValidationError(
-                    f"entry ({i + 1}, {j + 1}) targets axis {k + 1}, "
-                    f"need an axis in 1..{n} other than {i + 1} and {j + 1}"
-                )
-            if s != 1 and s != -1:
-                raise TensorValidationError(f"entry ({i + 1}, {j + 1}) has sign {s}, need +-1")
-            if target[j * n + i] != k or sign[j * n + i] != -s:
-                raise TensorValidationError(
-                    f"entry ({j + 1}, {i + 1}) is not the negation of ({i + 1}, {j + 1})"
-                )
-            members = (1 << i) | (1 << j)
-            if used[k] & members:
-                raise TensorValidationError(
-                    f"axis {k + 1} holds two pairs sharing an index with {i + 1}-{j + 1}"
-                )
-            used[k] |= members
+    for p, (i, j) in enumerate(combinations(range(n), 2)):
+        try:
+            # Kept as the ints they stand for, so an int-like value (a numpy
+            # integer) stores as an int and a float or string is rejected.
+            k = target[p] = index(target[p])
+            s = sign[p] = index(sign[p])
+        except TypeError:
+            raise TensorValidationError(
+                f"entry ({i + 1}, {j + 1}) has target {target[p]!r} and sign "
+                f"{sign[p]!r}, need ints"
+            ) from None
+        if not 0 <= k < n or k == i or k == j:
+            raise TensorValidationError(
+                f"entry ({i + 1}, {j + 1}) targets axis {k + 1}, "
+                f"need an axis in 1..{n} other than {i + 1} and {j + 1}"
+            )
+        if s != 1 and s != -1:
+            raise TensorValidationError(f"entry ({i + 1}, {j + 1}) has sign {s}, need +-1")
+        members = (1 << i) | (1 << j)
+        if used[k] & members:
+            raise TensorValidationError(
+                f"axis {k + 1} holds two pairs sharing an index with {i + 1}-{j + 1}"
+            )
+        used[k] |= members
 
 
 class TensorEntry(NamedTuple):
@@ -81,16 +83,17 @@ class TensorEntry(NamedTuple):
 class StructureTensor:
     """Sparse signed tensor: every ordered index pair maps to one axis.
 
-    Stored as flat n*n target/sign arrays (0-based internally, 1-based in
-    the API); the (j, i) entry is always the negation of (i, j).
+    Stored as one (target, sign) slot per unordered pair i < j, in
+    ``pair_index`` order: e_i x e_j = sign * e_target (0-based target
+    internally, 1-based in the API), and e_j x e_i is its negation, so the
+    n(n-1)/2 slots fix the whole antisymmetric product.
 
-    The constructor rejects, with TensorValidationError, any arrays that are
-    not a scheme with signs: wrong lengths, a diagonal other than (-1, 0),
-    an off-diagonal target out of range or equal to i or j, a sign other
-    than +-1, a (j, i) entry that is not (same target, -sign), or two
-    pairs on one axis that share an index. With n axes of at most (n-1)/2
-    disjoint pairs each holding all n(n-1)/2 pairs, every axis then carries
-    a perfect matching, which the identity classifier relies on.
+    The constructor rejects, with TensorValidationError, any lists that are
+    not a scheme with signs: wrong lengths, a target or sign that is not an
+    int, a target out of range or equal to i or j, a sign other than +-1,
+    or two pairs on one axis that share an index. With n axes of at most
+    (n-1)/2 disjoint pairs each holding all n(n-1)/2 pairs, every axis then
+    carries a perfect matching, which the identity classifier relies on.
     """
 
     def __init__(self, dim: Dimension, target: Sequence[int], sign: Sequence[int]):
@@ -102,16 +105,14 @@ class StructureTensor:
     @classmethod
     def from_scheme(cls, scheme: Scheme) -> "StructureTensor":
         n = scheme.dim.n
-        target = [-1] * (n * n)
-        sign = [0] * (n * n)
+        target = [0] * scheme.dim.pair_count
+        sign = [0] * scheme.dim.pair_count
         for matching in scheme.matchings:
             k = matching.axis
             for pair in matching.pairs:
-                first, second = orient_pair(pair, k)
-                target[(first - 1) * n + (second - 1)] = k - 1
-                sign[(first - 1) * n + (second - 1)] = 1
-                target[(second - 1) * n + (first - 1)] = k - 1
-                sign[(second - 1) * n + (first - 1)] = -1
+                p = pair_index(n, pair)
+                target[p] = k - 1
+                sign[p] = 1 if orient_pair(pair, k) == pair else -1
         return cls(scheme.dim, target, sign)
 
     def lookup(self, i: int, j: int) -> Optional[TensorEntry]:
@@ -121,55 +122,49 @@ class StructureTensor:
             raise IndexRangeError(f"indices {i},{j} out of range 1..{n}")
         if i == j:
             return None
-        flat = (i - 1) * n + (j - 1)
-        return TensorEntry(self._target[flat] + 1, self._sign[flat])
+        if i < j:
+            p = pair_index(n, (i, j))
+            return TensorEntry(self._target[p] + 1, self._sign[p])
+        p = pair_index(n, (j, i))
+        return TensorEntry(self._target[p] + 1, -self._sign[p])
 
     def entries(self):
         """Iterate (i, j, axis, sign) over the ordered entries with i < j."""
-        n = self.dim.n
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                flat = (i - 1) * n + (j - 1)
-                yield i, j, self._target[flat] + 1, self._sign[flat]
+        pairs = combinations(range(1, self.dim.n + 1), 2)
+        for (i, j), k, s in zip(pairs, self._target, self._sign):
+            yield i, j, k + 1, s
 
     def axis_entries(self) -> list:
         """Per output axis k (0-based), the list of (i, j, sign) with
         e_i x e_j = sign * e_k over ordered i != j (0-based): each axis gets
-        its n-1 entries, every pair in both orders. Read from the stored
-        arrays without copying them."""
-        n = self.dim.n
-        target, sign = self._target, self._sign
-        per_axis = [[] for _ in range(n)]
-        for i in range(n):
-            row = i * n
-            for j in range(n):
-                if i != j:
-                    per_axis[target[row + j]].append((i, j, sign[row + j]))
+        its n-1 entries, every pair in both orders."""
+        per_axis = [[] for _ in range(self.dim.n)]
+        pairs = combinations(range(self.dim.n), 2)
+        for (i, j), k, s in zip(pairs, self._target, self._sign):
+            per_axis[k] += (i, j, s), (j, i, -s)
         return per_axis
 
-    def flat_arrays(self) -> Tuple[list, list]:
-        """Copies of the 0-based flat target/sign arrays (kernel input form)."""
+    def pair_arrays(self) -> Tuple[list, list]:
+        """Copies of the 0-based target and the sign lists, one slot per
+        pair i < j in ``pair_index`` order."""
         return list(self._target), list(self._sign)
 
     def cross(self, a: Vector, b: Vector) -> list:
         """A x B: component k is the sum of sign * a_i * b_j over entries
-        targeting k, taken over all ordered (i, j)."""
+        targeting k, taken over all ordered (i, j): each stored pair i < j
+        gives s * a_i * b_j and -s * a_j * b_i."""
         n = self.dim.n
         if len(a) != n or len(b) != n:
             raise DimensionMismatchError(
                 f"tensor is {n}-dimensional, vectors have length {len(a)} and {len(b)}"
             )
         out = [0] * n
-        for i in range(n):
-            ai = a[i]
-            if not ai:
-                continue
-            row = i * n
-            for j in range(n):
-                if i == j:
-                    continue
-                s = self._sign[row + j]
-                out[self._target[row + j]] += s * ai * b[j]
+        for (i, j), k, s in zip(combinations(range(n), 2), self._target, self._sign):
+            # The terms of e_i x e_j and of e_j x e_i, skipped where a is 0.
+            if a[i]:
+                out[k] += s * a[i] * b[j]
+            if a[j]:
+                out[k] += -s * a[j] * b[i]
         return out
 
     def __eq__(self, other):

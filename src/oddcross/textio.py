@@ -15,6 +15,7 @@ with axes separated by "/", e.g. "24 35 / 13 45 / 14 25 / 15 23 / 12 34".
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 from functools import lru_cache
@@ -31,9 +32,19 @@ def _matching_line(matching: Matching) -> str:
     return f"{matching.axis}: {matching}\n"
 
 
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def emit_scheme_text(scheme: Scheme) -> str:
     """Canonical serialization; parse_scheme_text inverts it exactly."""
     return f"n={scheme.dim.n}\n" + "".join(map(_matching_line, scheme.matchings))
+
+
+def emit_scheme_json(scheme_id: int, scheme: Scheme) -> str:
+    """One JSON Lines row: the id, n, and per axis its "lo-hi" pair tokens,
+    cut from the same cached matching lines as ``emit_scheme_text``."""
+    axes = [_matching_line(m).split()[1:] for m in scheme.matchings]
+    return _encode_json({"scheme_id": scheme_id, "n": scheme.dim.n, "axes": axes}) + "\n"
 
 
 def _parse_pair_token(token: str, lineno: int) -> tuple:
@@ -61,8 +72,6 @@ def _parse_full(lines, expected_n: Optional[int]) -> Scheme:
     by_axis: dict[int, list] = {}
     for lineno, line in lines[1:]:
         text = line.strip()
-        if not text:
-            continue
         axis_part, colon, rest = text.partition(":")
         if not colon or not axis_part.strip().isdigit():
             raise SchemeSyntaxError(f"expected '<axis>: pairs', got {text!r}", line=lineno)

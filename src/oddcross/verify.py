@@ -243,16 +243,11 @@ def _matching_masks(n: int):
 
 def _tensor_mask(tensor: StructureTensor) -> Tuple[_Layout, int]:
     """(layout, mask) of a tensor, from its own pairs and signs."""
-    n = tensor.dim.n
-    layout = _layout(n)
-    target, sign = tensor.flat_arrays()
-    per_axis = [[] for _ in range(n)]
-    p = 0
-    for i in range(n):
-        row = i * n
-        for j in range(i + 1, n):
-            per_axis[target[row + j]].append((p, sign[row + j]))
-            p += 1
+    layout = _layout(tensor.dim.n)
+    target, sign = tensor.pair_arrays()  # slot p is pair_index order, as in the layout
+    per_axis = [[] for _ in range(tensor.dim.n)]
+    for p, k in enumerate(target):
+        per_axis[k].append((p, sign[p]))
     mask = 0
     for axis, pairs in enumerate(per_axis):
         mask |= _axis_mask(layout, axis, pairs)
@@ -350,13 +345,12 @@ def _witness(layout: _Layout, mask: int, off: int):
     raise AssertionError("bad 4-subset with no nonzero probe")  # excluded by the proof
 
 
-def _verdict(layout: _Layout, mask: int, witnesses: bool = True):
+def _verdict(layout: _Layout, mask: int):
     """(closed, orthogonality_zero, xab_zero, witness) from a scheme's OR-ed
-    axis masks. The witness is None when X_AB is identically zero or
-    ``witnesses`` is false."""
+    axis masks. The witness is None when X_AB is identically zero."""
     xab_off = _off_pattern(mask, layout.q)[1]
     uneven, triple_off = _off_pattern(mask >> 6 * layout.q, layout.r)
-    witness = _witness(layout, mask, xab_off) if witnesses and xab_off else None
+    witness = _witness(layout, mask, xab_off) if xab_off else None
     return not uneven, not triple_off, not xab_off, witness
 
 
@@ -378,18 +372,8 @@ def tensor_verdict(
 
 
 def classify_tensor(tensor: StructureTensor) -> Tuple[bool, bool]:
-    """(orthogonality_zero, xab_zero) of ``tensor_verdict``, without a witness."""
-    return _verdict(*_tensor_mask(tensor), False)[1:3]
-
-
-def orthogonality_identically_zero(tensor: StructureTensor) -> bool:
-    """Whether (AxB).A and (AxB).B vanish for every A, B."""
-    return classify_tensor(tensor)[0]
-
-
-def xab_identically_zero(tensor: StructureTensor) -> bool:
-    """Whether the quartic X_AB(A, B) is the zero polynomial."""
-    return classify_tensor(tensor)[1]
+    """(orthogonality_zero, xab_zero) of ``tensor_verdict``."""
+    return tensor_verdict(tensor)[1:3]
 
 
 def find_witness(

@@ -8,15 +8,28 @@ criterion that the package uses.
 
 ``xab_dense`` is the dense contraction of chi with a, b, a, b over all
 n^4 index 4-tuples, the oracle for the sparse ``verify.xab_tensor``.
+
+Both read the product through ``StructureTensor.lookup`` only, so they do
+not depend on how the tensor stores it.
 """
 
 
-def classify_product_table(n, target, sign):
-    """Decide both identity-level properties of a signed product table.
+def product_table(tensor):
+    """The ordered product as flattened n*n target/sign arrays (0-based):
+    entry (i, j) says e_i x e_j = sign * e_target, with target = -1 and
+    sign = 0 on the diagonal."""
+    n = tensor.dim.n
+    target, sign = [-1] * (n * n), [0] * (n * n)
+    for i in range(n):
+        for j in range(n):
+            entry = tensor.lookup(i + 1, j + 1)
+            if entry is not None:
+                target[i * n + j], sign[i * n + j] = entry.axis - 1, entry.sign
+    return target, sign
 
-    ``target`` and ``sign`` are flattened n*n arrays over ordered index
-    pairs (0-based): entry (i, j) says e_i x e_j = sign * e_target, with
-    target = -1 and sign = 0 on the diagonal.
+
+def classify_product_table(tensor):
+    """Decide both identity-level properties of a tensor's product table.
 
     Returns ``(orthogonality_zero, xab_zero)``:
 
@@ -27,6 +40,8 @@ def classify_product_table(n, target, sign):
       polynomial, decided by exact integer coefficient accumulation over
       monomials a_i a_l b_j b_m.
     """
+    n = tensor.dim.n
+    target, sign = product_table(tensor)
     ortho = True
     for i in range(n):
         for j in range(n):
@@ -87,7 +102,7 @@ def xab_dense(tensor, a, b):
     """
     n = tensor.dim.n
     assert len(a) == n and len(b) == n
-    target, sign = tensor.flat_arrays()
+    target, sign = product_table(tensor)
     total = 0
     for i in range(n):
         for j in range(n):

@@ -22,11 +22,11 @@ from oddcross import (
     orthogonality_defect,
     parse_scheme_text,
     xab_direct,
-    xab_identically_zero,
     xab_pairs,
     xab_tensor,
 )
 from oddcross.cli import main
+from oddcross.verify import classify_tensor
 from oddcross.reference import reference_axis_pairings, reference_schemes
 
 
@@ -103,14 +103,14 @@ def test_criterion_03_reference_7d_membership_and_identity_rows(report):
     stream = set(enumerate_schemes(feasible_dimension(7)))
     assert all(s in stream for s in ref)
     for row in (11, 20):
-        assert xab_identically_zero(build_tensor(ref[row - 1])), f"row {row}"
+        assert classify_tensor(build_tensor(ref[row - 1]))[1], f"row {row}"
     report(3, "all 30 reference rows enumerated; rows 11 and 20 satisfy the identity")
 
 
 def test_criterion_04_negative_classification_with_witness(report):
     row2 = reference_schemes(7)[1]
     tensor = build_tensor(row2)
-    assert not xab_identically_zero(tensor)
+    assert not classify_tensor(tensor)[1]
     witness = find_witness(tensor, row2, seed=0)
     assert witness is not None
     a, b = witness
@@ -119,7 +119,7 @@ def test_criterion_04_negative_classification_with_witness(report):
     assert value != 0
 
     for scheme in enumerate_schemes(feasible_dimension(5)):
-        assert not xab_identically_zero(build_tensor(scheme))
+        assert not classify_tensor(build_tensor(scheme))[1]
     report(4, f"7d row 2 nonzero with witness (X_AB={value}); all six 5d schemes nonzero")
 
 

@@ -7,18 +7,21 @@ import pytest
 from oddcross import (
     BadMatchingError,
     ChoiceRangeError,
+    Dimension,
     DimensionTooSmallError,
     DuplicatePairError,
     EvenDimensionError,
     MissingPairError,
     OddCrossError,
     Pair,
+    SchemeValidationError,
     SelfPairError,
     axis_matchings,
     branch_scheme,
     enumerate_schemes,
     feasible_dimension,
     is_closed,
+    make_pair,
     validate_scheme,
 )
 from oddcross.schemes import scheme_branches
@@ -45,6 +48,21 @@ class TestFeasibility:
     def test_too_small_rejected(self, n):
         with pytest.raises(DimensionTooSmallError):
             feasible_dimension(n)
+
+    @pytest.mark.parametrize(
+        "n,pairs_per_axis,error",
+        [
+            # Both used to construct: 4 == 2 * 1.5 + 1 and 1 == 2 * 0 + 1.
+            (4, 1.5, EvenDimensionError),
+            (1, 0, DimensionTooSmallError),
+            (5, 2.0, SchemeValidationError),
+            (5, 3, SchemeValidationError),
+            (7.0, 3, SchemeValidationError),
+        ],
+    )
+    def test_dimension_checks_its_fields(self, n, pairs_per_axis, error):
+        with pytest.raises(error):
+            Dimension(n=n, pairs_per_axis=pairs_per_axis)
 
 
 class TestAxisMatchings:
@@ -151,6 +169,31 @@ class TestValidateScheme:
         with pytest.raises(Exception, match="out of range"):
             validate_scheme(5, lists)
 
+    def test_wrong_number_of_pair_lists(self):
+        with pytest.raises(SchemeValidationError, match="one pair list per axis"):
+            validate_scheme(3, [[(2, 3)], [(1, 3)]])
+
+    @pytest.mark.parametrize(
+        "raw",
+        [(2, 3, 4), 5, ("2", "3"), (2.0, 3)],
+        ids=["three-members", "int", "strings", "float"],
+    )
+    def test_malformed_pair_rejected(self, raw):
+        # These used to raise a bare ValueError or TypeError, and (2.0, 3)
+        # was accepted and then emitted as "2.0-3".
+        with pytest.raises(SchemeValidationError, match=r"axis 1: pair .* not two int"):
+            validate_scheme(3, [[raw], [(1, 3)], [(1, 2)]])
+
+
+class TestMakePair:
+    def test_equal_members_rejected(self):
+        with pytest.raises(SchemeValidationError, match="must differ"):
+            make_pair(2, 2)
+
+    def test_zero_based_index_rejected(self):
+        with pytest.raises(SchemeValidationError, match="1-based"):
+            make_pair(2, 0)
+
 
 class TestEnumeration:
     @pytest.mark.parametrize("n,count", [(3, 1), (5, 6), (7, 6240)])
@@ -227,6 +270,10 @@ class TestEnumeration:
             branch_scheme(dim5, branch)
         assert isinstance(info.value, OddCrossError)
         assert isinstance(info.value, ValueError)
+
+    def test_prefix_longer_than_axes_rejected(self, dim5):
+        with pytest.raises(ChoiceRangeError, match="prefix longer"):
+            list(scheme_branches(dim5, prefix=(0,) * 6))
 
     def test_lazy_stream_large_dimension(self):
         dim9 = feasible_dimension(9)

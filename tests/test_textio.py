@@ -46,6 +46,25 @@ class TestParse:
             parse_scheme_text("n=5\n1: 2-4 3x5\n2: 1-3 4-5\n3: 1-4 2-5\n4: 1-5 2-3\n5: 1-2 3-4")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize(
+        "text,match,line",
+        [
+            ("n=3\n1: 2-x\n2: 1-3\n3: 1-2", "bad pair token '2-x'", 2),
+            ("n=x\n1: 2-3\n2: 1-3\n3: 1-2", "expected 'n=<odd>' header", 1),
+            ("n=3\n1: 2-3\n2 1-3\n3: 1-2", "expected '<axis>: pairs'", 3),
+            ("n=3\n1: 2-3\n2: 1-3\n4: 1-2", "axis 4 out of range 1..3", 4),
+        ],
+        ids=["pair-token", "header", "no-axis-colon", "axis-range"],
+    )
+    def test_full_format_syntax_errors(self, text, match, line):
+        with pytest.raises(SchemeSyntaxError, match=match) as err:
+            parse_scheme_text(text)
+        assert err.value.line == line
+
+    def test_bad_compact_token(self):
+        with pytest.raises(SchemeSyntaxError, match="bad compact token '2-3'"):
+            parse_scheme_text("2-3 / 13 / 12")
+
     def test_missing_axis_line(self):
         with pytest.raises(SchemeSyntaxError, match="axis 5"):
             parse_scheme_text("n=5\n1: 2-4 3-5\n2: 1-3 4-5\n3: 1-4 2-5\n4: 1-5 2-3")

@@ -23,11 +23,9 @@ from oddcross import (
     format_witness,
     is_closed,
     orthogonality_defect,
-    orthogonality_identically_zero,
     parse_scheme_text,
     write_census_csv,
     xab_direct,
-    xab_identically_zero,
     xab_pairs,
     xab_tensor,
 )
@@ -39,6 +37,7 @@ from oddcross.verify import (
     classify_tensor,
     tensor_verdict,
 )
+from oddcross.schemes import pair_index
 
 
 def unit(n, k):
@@ -141,11 +140,10 @@ class TestXabRoutes:
         n = data.draw(st.sampled_from([3, 5, 7, 9]))
         rng = data.draw(st.randoms(use_true_random=False))
         dim = feasible_dimension(n)
-        target, sign = build_tensor(branch_scheme(dim, random_branch(n, rng))).flat_arrays()
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < 0.3:
-                    sign[i * n + j], sign[j * n + i] = -sign[i * n + j], -sign[j * n + i]
+        target, sign = build_tensor(branch_scheme(dim, random_branch(n, rng))).pair_arrays()
+        for p in range(len(sign)):
+            if rng.random() < 0.3:
+                sign[p] = -sign[p]
         tensor = StructureTensor(dim, target, sign)
         entry = st.integers(-5, 5) | st.fractions(-3, 3, max_denominator=6)
         a, b = (data.draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(2))
@@ -177,8 +175,9 @@ class TestXabRoutes:
             xab_pairs(tensor7_row11, a, b, scheme7_row2)
         # Same axes, but pair 1-2 has the opposite sign: for these vectors the
         # pair route would answer -6 where the direct and tensor routes give -2.
-        target, sign = tensor5_row3.flat_arrays()
-        sign[0 * 5 + 1], sign[1 * 5 + 0] = -sign[0 * 5 + 1], -sign[1 * 5 + 0]
+        target, sign = tensor5_row3.pair_arrays()
+        p = pair_index(5, (1, 2))
+        sign[p] = -sign[p]
         flipped = StructureTensor(scheme5_row3.dim, target, sign)
         with pytest.raises(SchemeTensorMismatchError, match="e1 x e2 to -e"):
             xab_pairs(flipped, (0, 1, 1, 0, 1), (1, 1, 0, 1, 0), scheme5_row3)
@@ -190,35 +189,29 @@ class TestXabRoutes:
 
 class TestIdentityDecisions:
     def test_7d_closed_oriented(self, tensor7_row11):
-        assert orthogonality_identically_zero(tensor7_row11)
-        assert xab_identically_zero(tensor7_row11)
+        assert classify_tensor(tensor7_row11) == (True, True)
 
     def test_7d_row20(self, scheme7_row20):
         tensor = build_tensor(scheme7_row20)
-        assert orthogonality_identically_zero(tensor)
-        assert xab_identically_zero(tensor)
+        assert classify_tensor(tensor) == (True, True)
 
     def test_7d_row2_fails_magnitude_identity(self, tensor7_row2):
         # closed (so orthogonality holds identically) yet X_AB is nonzero:
         # the two identity-level properties are independent.
-        assert orthogonality_identically_zero(tensor7_row2)
-        assert not xab_identically_zero(tensor7_row2)
+        assert classify_tensor(tensor7_row2) == (True, False)
 
     def test_5d_row3(self, tensor5_row3):
         # L[2,4,1] = +1 but L[1,4,2] = 0 ({1,4} sits on axis 3).
         assert tensor5_row3.lookup(2, 4).axis == 1
         assert tensor5_row3.lookup(1, 4).axis == 3
-        assert not orthogonality_identically_zero(tensor5_row3)
+        assert not classify_tensor(tensor5_row3)[0]
 
     def test_all_5d_fail_both(self, dim5):
         for scheme in enumerate_schemes(dim5):
-            tensor = build_tensor(scheme)
-            assert not orthogonality_identically_zero(tensor)
-            assert not xab_identically_zero(tensor)
+            assert classify_tensor(build_tensor(scheme)) == (False, False)
 
     def test_3d(self, tensor3):
-        assert orthogonality_identically_zero(tensor3)
-        assert xab_identically_zero(tensor3)
+        assert classify_tensor(tensor3) == (True, True)
 
     def test_identity_sound_against_sampling(self, tensor7_row11, scheme7_row20):
         rng = random.Random(29)
@@ -246,11 +239,6 @@ class TestIdentityDecisions:
         assert find_witness(tensor7_row11, scheme7_row11) is None
 
 
-def oracle_verdict(tensor):
-    target, sign = tensor.flat_arrays()
-    return classify_product_table(tensor.dim.n, target, sign)
-
-
 class TestPluckerCriterion:
     """The mask classifier against the exact coefficient expansion."""
 
@@ -259,7 +247,7 @@ class TestPluckerCriterion:
         dim = feasible_dimension(n)
         for rec, scheme in zip(census(dim), enumerate_schemes(dim)):
             tensor = build_tensor(scheme)
-            ortho, xab = oracle_verdict(tensor)
+            ortho, xab = classify_product_table(tensor)
             assert rec.closed == is_closed(scheme)
             assert (rec.orthogonality_zero, rec.xab_zero) == (ortho, xab)
             assert classify_tensor(tensor) == (ortho, xab)
@@ -286,7 +274,7 @@ class TestPluckerCriterion:
         branch = random_branch(9, rng)
         scheme = branch_scheme(dim, branch)
         tensor = build_tensor(scheme)
-        ortho, xab = oracle_verdict(tensor)
+        ortho, xab = classify_product_table(tensor)
         ((closed, ortho_zero, xab_zero, witness),) = _census_rows(9, [branch])
         assert closed == is_closed(scheme)
         assert ortho_zero == ortho
@@ -352,11 +340,11 @@ class TestPluckerCriterion:
         # Row 11 has X_AB = 0; these sign flips break it while keeping one of
         # the criterion's conditions on every 4-subset, so a classifier that
         # tests only that condition would still answer zero.
-        target, sign = build_tensor(scheme7_row11).flat_arrays()
-        for i, j in ((int(f[0]) - 1, int(f[1]) - 1) for f in flips):
-            sign[i * 7 + j], sign[j * 7 + i] = -sign[i * 7 + j], -sign[j * 7 + i]
+        target, sign = build_tensor(scheme7_row11).pair_arrays()
+        for p in (pair_index(7, (int(f[0]), int(f[1]))) for f in flips):
+            sign[p] = -sign[p]
         tensor = StructureTensor(scheme7_row11.dim, target, sign)
-        assert oracle_verdict(tensor) == (False, False)
+        assert classify_product_table(tensor) == (False, False)
         assert classify_tensor(tensor) == (False, False)
         assert xab_direct(tensor, *find_witness(tensor, scheme7_row11)) != 0
 
@@ -369,13 +357,12 @@ class TestPluckerCriterion:
         rng = data.draw(st.randoms(use_true_random=False))
         dim = feasible_dimension(n)
         scheme = branch_scheme(dim, random_branch(n, rng))
-        target, sign = build_tensor(scheme).flat_arrays()
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < 0.3:
-                    sign[i * n + j], sign[j * n + i] = -sign[i * n + j], -sign[j * n + i]
+        target, sign = build_tensor(scheme).pair_arrays()
+        for p in range(len(sign)):
+            if rng.random() < 0.3:
+                sign[p] = -sign[p]
         tensor = StructureTensor(dim, target, sign)
-        ortho, xab = oracle_verdict(tensor)
+        ortho, xab = classify_product_table(tensor)
         assert classify_tensor(tensor) == (ortho, xab)
         witness = find_witness(tensor, scheme)
         if xab:
@@ -395,11 +382,13 @@ class TestPluckerCriterion:
         # orthogonality under non-canonical signs otherwise.
         n = scheme.dim.n
         rng = random.Random(str(scheme))
-        target, canonical = build_tensor(scheme).flat_arrays()
-        triples = {frozenset((i, j, target[i * n + j])) for i in range(n) for j in range(i + 1, n)}
+        target, canonical = build_tensor(scheme).pair_arrays()
+        pairs = list(itertools.combinations(range(n), 2))  # pair_index order
+        triples = {frozenset((i, j, k)) for (i, j), k in zip(pairs, target)}
 
         def flip(i, j):
-            sign[i * n + j], sign[j * n + i] = -sign[i * n + j], -sign[j * n + i]
+            p = pairs.index((i, j))
+            sign[p] = -sign[p]
 
         for variant in range(8):
             sign = list(canonical)
@@ -413,7 +402,7 @@ class TestPluckerCriterion:
                     if rng.random() < 0.15:
                         flip(i, j)
             tensor = StructureTensor(scheme.dim, target, sign)
-            ortho, xab = oracle_verdict(tensor)
+            ortho, xab = classify_product_table(tensor)
             if whole_triples:
                 assert ortho
             assert classify_tensor(tensor) == (ortho, xab)
