@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import islice
+from itertools import combinations, islice
 from operator import index
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
@@ -67,7 +67,7 @@ class Dimension:
 
 def feasible_dimension(n: int) -> Dimension:
     """The Dimension of n, checked as ``Dimension`` checks it."""
-    return Dimension(n, (n - 1) // 2)
+    return Dimension(n, (n - 1) // 2 if isinstance(n, int) else 0)
 
 
 class Pair(NamedTuple):
@@ -81,6 +81,10 @@ class Pair(NamedTuple):
 
 
 def make_pair(a: int, b: int) -> Pair:
+    try:
+        a, b = index(a), index(b)
+    except TypeError:
+        raise SchemeValidationError(f"pair members must be ints, got {a!r} and {b!r}") from None
     if a == b:
         raise SchemeValidationError(f"pair members must differ, got {a}-{b}")
     if a > b:
@@ -136,7 +140,13 @@ def pair_index(n: int, pair: Pair) -> int:
 
 @dataclass(frozen=True)
 class Scheme:
-    """A full assignment: one matching per axis, every pair used exactly once."""
+    """A full assignment: one matching per axis, every pair used exactly once.
+
+    ``matchings[k-1]`` is the matching of axis k, made of pairs lo < hi of
+    1..n. ``validate_scheme`` checks that raw shape; the structure (each
+    axis a matching that avoids the axis, each pair on exactly one axis) is
+    checked once, by ``slots``, the first time they are read.
+    """
 
     dim: Dimension
     matchings: Tuple[Matching, ...]
@@ -146,6 +156,47 @@ class Scheme:
         """Map each unordered pair to the axis it is assigned to."""
         return {p: m.axis for m in self.matchings for p in m.pairs}
 
+    @cached_property
+    def slots(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """The product table as ``(target, sign)``, checked as it is built.
+
+        One slot per pair i < j in ``pair_index`` order, the layout of
+        ``StructureTensor``: e_i x e_j = sign * e_(target + 1), with the
+        0-based target and the sign of ``tensor.orient_pair``'s rule (-1
+        exactly when the axis lies strictly between i and j).
+
+        This one pass is the scheme's structural check. It takes the axes in
+        order and each axis's pairs in order, and raises for the first pair
+        that holds its own axis (SelfPairError), shares an index with an
+        earlier pair of its axis (BadMatchingError), or sits in a slot an
+        earlier axis wrote (DuplicatePairError). After the pass, a slot left
+        unwritten raises MissingPairError for the first such pair in
+        lexicographic order.
+        """
+        n = self.dim.n
+        target = [-1] * self.dim.pair_count
+        sign = [0] * self.dim.pair_count
+        for matching in self.matchings:
+            k = matching.axis
+            held = 0  # bitmask of the indices the axis's pairs already hold
+            for pair in matching.pairs:
+                lo, hi = pair
+                if lo == k or hi == k:
+                    raise SelfPairError(f"axis {k} appears in its own pair {lo}-{hi}")
+                if held & (1 << lo | 1 << hi):
+                    member = lo if held >> lo & 1 else hi
+                    raise BadMatchingError(f"axis {k}: index {member} appears in two pairs")
+                held |= 1 << lo | 1 << hi
+                p = pair_index(n, pair)
+                if target[p] >= 0:
+                    raise DuplicatePairError(Pair(lo, hi), target[p] + 1, k)
+                target[p] = k - 1
+                sign[p] = -1 if lo < k < hi else 1
+        if -1 in target:
+            pairs = combinations(range(1, n + 1), 2)
+            raise MissingPairError(Pair(*next(islice(pairs, target.index(-1), None))))
+        return tuple(target), tuple(sign)
+
     def __str__(self) -> str:
         return " / ".join(str(m) for m in self.matchings)
 
@@ -154,19 +205,23 @@ def validate_scheme(n: int, pair_lists: Sequence[Iterable]) -> Scheme:
     """Check a raw per-axis pair assignment and build the Scheme.
 
     ``pair_lists[k-1]`` holds the pairs claimed for axis k, each pair any
-    2-sequence of int indices. Raises the most specific violation found:
-    SelfPair, BadMatching (overlap within an axis), DuplicatePair (pair on
-    two axes), or MissingPair (pair on no axis).
+    2-sequence of int indices. The raw shape is checked first, on every
+    axis: one iterable of pairs per axis, each pair two distinct ints of
+    1..n (SchemeValidationError). Then the structure, once, in
+    ``Scheme.slots``: axis by axis, the first SelfPair, BadMatching
+    (overlap within an axis) or DuplicatePair (pair on an earlier axis),
+    and last MissingPair (pair on no axis).
     """
     dim = feasible_dimension(n)
-    if len(pair_lists) != n:
-        raise SchemeValidationError(
-            f"expected one pair list per axis ({n}), got {len(pair_lists)}"
-        )
+    try:
+        axes = [list(raw_pairs) for raw_pairs in pair_lists]
+    except TypeError:
+        raise SchemeValidationError(f"need one pair list per axis, got {pair_lists!r}") from None
+    if len(axes) != n:
+        raise SchemeValidationError(f"expected one pair list per axis ({n}), got {len(axes)}")
 
     matchings = []
-    for axis0, raw_pairs in enumerate(pair_lists):
-        axis = axis0 + 1
+    for axis, raw_pairs in enumerate(axes, 1):
         pairs = []
         for raw in raw_pairs:
             try:
@@ -178,34 +233,12 @@ def validate_scheme(n: int, pair_lists: Sequence[Iterable]) -> Scheme:
                 ) from None
             p = make_pair(a, b)
             if p.hi > n:
-                raise SchemeValidationError(
-                    f"axis {axis}: index {p.hi} out of range for n={n}"
-                )
+                raise SchemeValidationError(f"axis {axis}: index {p.hi} out of range for n={n}")
             pairs.append(p)
-        seen = set()
-        for p in pairs:
-            if axis in p:
-                raise SelfPairError(f"axis {axis} appears in its own pair {p}")
-            for member in p:
-                if member in seen:
-                    raise BadMatchingError(
-                        f"axis {axis}: index {member} appears in two pairs"
-                    )
-                seen.add(member)
         matchings.append(Matching(axis, tuple(sorted(pairs))))
-
-    owner: dict[Pair, int] = {}
-    for matching in matchings:
-        for p in matching.pairs:
-            if p in owner:
-                raise DuplicatePairError(p, owner[p], matching.axis)
-            owner[p] = matching.axis
-    for lo in range(1, n + 1):
-        for hi in range(lo + 1, n + 1):
-            if Pair(lo, hi) not in owner:
-                raise MissingPairError(Pair(lo, hi))
-
-    return Scheme(dim, tuple(matchings))
+    scheme = Scheme(dim, tuple(matchings))
+    scheme.slots  # the structural check
+    return scheme
 
 
 @lru_cache(maxsize=None)
@@ -248,7 +281,8 @@ def branch_scheme(dim: Dimension, branch: Sequence[int]) -> Scheme:
     for d, choice in enumerate(branch):
         kernels._check_choice(masks, d, choice)
     scheme = _branch_scheme(dim, branch)
-    return validate_scheme(dim.n, [m.pairs for m in scheme.matchings])
+    scheme.slots  # raises DuplicatePairError where two matchings share a pair
+    return scheme
 
 
 def scheme_branches(

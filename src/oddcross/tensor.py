@@ -88,12 +88,15 @@ class StructureTensor:
     internally, 1-based in the API), and e_j x e_i is its negation, so the
     n(n-1)/2 slots fix the whole antisymmetric product.
 
-    The constructor rejects, with TensorValidationError, any lists that are
-    not a scheme with signs: wrong lengths, a target or sign that is not an
-    int, a target out of range or equal to i or j, a sign other than +-1,
-    or two pairs on one axis that share an index. With n axes of at most
-    (n-1)/2 disjoint pairs each holding all n(n-1)/2 pairs, every axis then
-    carries a perfect matching, which the identity classifier relies on.
+    There are two ways in. ``from_scheme`` (and ``build_tensor``) copies a
+    scheme's ``Scheme.slots``, which that scheme's one structural check
+    produced, and checks nothing again. The constructor takes raw lists and
+    rejects, with TensorValidationError, any that are not a scheme with
+    signs: wrong lengths, a target or sign that is not an int, a target out
+    of range or equal to i or j, a sign other than +-1, or two pairs on one
+    axis that share an index. With n axes of at most (n-1)/2 disjoint pairs
+    each holding all n(n-1)/2 pairs, every axis then carries a perfect
+    matching, which the identity classifier relies on.
     """
 
     def __init__(self, dim: Dimension, target: Sequence[int], sign: Sequence[int]):
@@ -104,16 +107,12 @@ class StructureTensor:
 
     @classmethod
     def from_scheme(cls, scheme: Scheme) -> "StructureTensor":
-        n = scheme.dim.n
-        target = [0] * scheme.dim.pair_count
-        sign = [0] * scheme.dim.pair_count
-        for matching in scheme.matchings:
-            k = matching.axis
-            for pair in matching.pairs:
-                p = pair_index(n, pair)
-                target[p] = k - 1
-                sign[p] = 1 if orient_pair(pair, k) == pair else -1
-        return cls(scheme.dim, target, sign)
+        """The tensor of a scheme under the canonical orientation, built from
+        copies of its checked ``slots`` without the raw-list check."""
+        target, sign = scheme.slots
+        tensor = cls.__new__(cls)
+        tensor.dim, tensor._target, tensor._sign = scheme.dim, list(target), list(sign)
+        return tensor
 
     def lookup(self, i: int, j: int) -> Optional[TensorEntry]:
         """The (axis, sign) slot of e_i x e_j, or None when i == j."""

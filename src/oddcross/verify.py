@@ -116,30 +116,27 @@ def xab_pairs(tensor: StructureTensor, a: Vector, b: Vector, scheme: Scheme):
     oriented pair determinants over distinct pair choices.
 
     The squared norms cancel against the per-pair squares by the Lagrange
-    identity, leaving only the mixed products.
+    identity, leaving only the mixed products. The determinants assume
+    e_alpha x e_beta = +e_axis for each oriented pair, so ``tensor`` must
+    equal the scheme's own tensor, entry by entry.
     """
     n = _check_dims(tensor, a, b)
     if scheme.dim != tensor.dim:
         raise SchemeTensorMismatchError(
             f"scheme is {scheme.dim.n}-dimensional, tensor is {n}-dimensional"
         )
-    oriented = []
-    for matching in scheme.matchings:
-        axis = matching.axis
-        pairs = [orient_pair(pair, axis) for pair in matching.pairs]
-        for alpha, beta in pairs:
-            # The determinants below assume e_alpha x e_beta = +e_axis.
-            entry = tensor.lookup(alpha, beta)
-            if entry != (axis, 1):
-                raise SchemeTensorMismatchError(
-                    f"tensor sends e{alpha} x e{beta} to "
-                    f"{'-' if entry.sign < 0 else '+'}e{entry.axis}, "
-                    f"scheme says +e{axis}"
-                )
-        oriented.append(pairs)
+    for (i, j, k, s), (_, _, axis, sign) in zip(
+        StructureTensor.from_scheme(scheme).entries(), tensor.entries()
+    ):
+        if (axis, sign) != (k, s):
+            alpha, beta = (i, j) if s > 0 else (j, i)
+            raise SchemeTensorMismatchError(
+                f"tensor sends e{alpha} x e{beta} to {'-' if sign != s else '+'}e{axis}, "
+                f"scheme says +e{k}"
+            )
     total = 0
-    for pairs in oriented:
-        dets = [pair_determinant(a, b, alpha, beta) for alpha, beta in pairs]
+    for matching in scheme.matchings:
+        dets = [pair_determinant(a, b, *orient_pair(p, matching.axis)) for p in matching.pairs]
         for d1, d2 in combinations(dets, 2):
             total += d1 * d2
     return 2 * total
@@ -398,12 +395,6 @@ class DefectReport:
     xab_direct: object
     xab_tensor: object
     xab_pairs: object
-
-    def consistent(self, tol=0) -> bool:
-        spread = max(self.xab_direct, self.xab_tensor, self.xab_pairs) - min(
-            self.xab_direct, self.xab_tensor, self.xab_pairs
-        )
-        return spread <= tol
 
 
 def defect_report(

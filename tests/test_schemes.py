@@ -49,6 +49,12 @@ class TestFeasibility:
         with pytest.raises(DimensionTooSmallError):
             feasible_dimension(n)
 
+    @pytest.mark.parametrize("n", ["7", None])
+    def test_non_int_rejected(self, n):
+        # Both used to raise a bare TypeError from (n - 1) // 2.
+        with pytest.raises(SchemeValidationError, match="must be an int"):
+            feasible_dimension(n)
+
     @pytest.mark.parametrize(
         "n,pairs_per_axis,error",
         [
@@ -174,15 +180,52 @@ class TestValidateScheme:
             validate_scheme(3, [[(2, 3)], [(1, 3)]])
 
     @pytest.mark.parametrize(
-        "raw",
-        [(2, 3, 4), 5, ("2", "3"), (2.0, 3)],
-        ids=["three-members", "int", "strings", "float"],
+        "pair_lists,match",
+        [
+            ([[(2, 3, 4)], [(1, 3)], [(1, 2)]], r"axis 1: pair .* not two int"),
+            ([[5], [(1, 3)], [(1, 2)]], r"axis 1: pair .* not two int"),
+            ([[("2", "3")], [(1, 3)], [(1, 2)]], r"axis 1: pair .* not two int"),
+            ([[(2.0, 3)], [(1, 3)], [(1, 2)]], r"axis 1: pair .* not two int"),
+            (5, "one pair list per axis"),
+            ([5, [(1, 3)], [(1, 2)]], "one pair list per axis"),
+        ],
+        ids=["three-members", "int", "strings", "float", "not-a-list", "axis-not-a-list"],
     )
-    def test_malformed_pair_rejected(self, raw):
+    def test_malformed_pair_rejected(self, pair_lists, match):
         # These used to raise a bare ValueError or TypeError, and (2.0, 3)
         # was accepted and then emitted as "2.0-3".
-        with pytest.raises(SchemeValidationError, match=r"axis 1: pair .* not two int"):
-            validate_scheme(3, [[raw], [(1, 3)], [(1, 2)]])
+        with pytest.raises(SchemeValidationError, match=match):
+            validate_scheme(3, pair_lists)
+
+    @pytest.mark.parametrize(
+        "lists,error,match",
+        [
+            # Axis 2 repeats pair 4-5 of axis 1, axis 3 uses index 1 twice.
+            (
+                [[(2, 3), (4, 5)], [(4, 5), (1, 3)], [(1, 4), (1, 5)], [(1, 5), (2, 3)], [(1, 2), (3, 4)]],
+                DuplicatePairError,
+                "4-5 assigned to both axis 1 and axis 2",
+            ),
+            # Axis 2 uses index 3 twice, axis 3 repeats pair 4-5 of axis 1.
+            (
+                [[(2, 3), (4, 5)], [(1, 3), (3, 4)], [(4, 5), (1, 2)], [(1, 5), (2, 3)], [(1, 2), (3, 5)]],
+                BadMatchingError,
+                "axis 2: index 3",
+            ),
+            # Axis 1 leaves out 4-5, axis 3 uses index 1 twice.
+            (
+                [[(2, 3)], [(1, 4), (3, 5)], [(1, 2), (1, 5)], [(1, 5), (2, 3)], [(1, 2), (3, 4)]],
+                BadMatchingError,
+                "axis 3: index 1",
+            ),
+        ],
+        ids=["duplicate-before-overlap", "overlap-before-duplicate", "overlap-before-missing"],
+    )
+    def test_first_faulty_axis_decides(self, lists, error, match):
+        # Axes are checked in order, so the fault on the lower axis wins,
+        # whatever its kind; a missing pair is reported only after all axes.
+        with pytest.raises(error, match=match):
+            validate_scheme(5, lists)
 
 
 class TestMakePair:
@@ -193,6 +236,16 @@ class TestMakePair:
     def test_zero_based_index_rejected(self):
         with pytest.raises(SchemeValidationError, match="1-based"):
             make_pair(2, 0)
+
+    @pytest.mark.parametrize("a,b", [(2.0, 3), ("2", 3), (None, 1)])
+    def test_non_int_member_rejected(self, a, b):
+        # (2.0, 3) used to return Pair(lo=2.0, hi=3); the others raised a
+        # bare TypeError.
+        with pytest.raises(SchemeValidationError, match="must be ints"):
+            make_pair(a, b)
+
+    def test_int_like_members_stored_as_int(self):
+        assert type(make_pair(True, 3).lo) is int
 
 
 class TestEnumeration:

@@ -1,23 +1,31 @@
 import random
 
 import pytest
+from conftest import ROW11_7D, random_branch
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oddcross.tensor
 from oddcross import (
     DimensionMismatchError,
+    DuplicatePairError,
     IndexRangeError,
+    Matching,
     OddCrossError,
     Pair,
     SelfPairError,
     StructureTensor,
     TensorEntry,
+    Scheme,
     TensorValidationError,
+    branch_scheme,
     build_tensor,
     dot,
     enumerate_schemes,
+    feasible_dimension,
     orient_pair,
     pair_determinant,
+    parse_scheme_text,
 )
 
 
@@ -312,6 +320,64 @@ class TestTensorValidation:
 
     def test_error_is_typed(self):
         assert issubclass(TensorValidationError, OddCrossError)
+
+
+class TestSchemeSlots:
+    """A scheme's structure is checked once, in ``Scheme.slots``, and
+    ``build_tensor`` copies the checked slots without the raw-list check."""
+
+    def schemes(self):
+        for n in (3, 5, 7):
+            yield from enumerate_schemes(feasible_dimension(n))
+        dim9, rng = feasible_dimension(9), random.Random(29)
+        for _ in range(25):
+            yield branch_scheme(dim9, random_branch(9, rng))
+
+    def test_slots_pass_the_raw_check(self):
+        for scheme in self.schemes():
+            tensor = build_tensor(scheme)
+            assert tensor == StructureTensor(scheme.dim, *tensor.pair_arrays())
+
+    def test_slots_follow_orient_pair(self, scheme7_row11):
+        target, sign = scheme7_row11.slots
+        for (i, j, k, s), t, s2 in zip(build_tensor(scheme7_row11).entries(), target, sign):
+            assert (t + 1, s2) == (k, s)
+            assert orient_pair(Pair(i, j), k) == ((i, j) if s > 0 else (j, i))
+
+    def test_tensor_owns_its_lists(self, scheme5_row3):
+        # The scheme's slots are immutable, and each tensor copies them.
+        assert all(type(part) is tuple for part in scheme5_row3.slots)
+        tensor = build_tensor(scheme5_row3)
+        assert tensor._target is not build_tensor(scheme5_row3)._target
+
+    def test_hand_built_duplicate_rejected(self, dim5):
+        # Pair 4-5 sits on axes 1 and 2. This used to get past the scheme and
+        # surface from the raw-list check as "entry (2, 4) has sign 0".
+        matchings = [
+            [(2, 3), (4, 5)],
+            [(1, 3), (4, 5)],
+            [(1, 4), (2, 5)],
+            [(1, 5), (2, 3)],
+            [(1, 2), (3, 4)],
+        ]
+        scheme = Scheme(
+            dim5,
+            tuple(Matching(k, tuple(Pair(*p) for p in m)) for k, m in enumerate(matchings, 1)),
+        )
+        with pytest.raises(DuplicatePairError) as err:
+            build_tensor(scheme)
+        assert err.value.pair == Pair(4, 5)
+        assert err.value.axes == (1, 2)
+
+    def test_parsed_scheme_skips_the_raw_check(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("raw-list check run")
+
+        monkeypatch.setattr(oddcross.tensor, "_validate", refuse)
+        tensor = build_tensor(parse_scheme_text(ROW11_7D, 7))
+        assert tensor.lookup(5, 2) == TensorEntry(3, 1)
+        with pytest.raises(AssertionError, match="raw-list check"):
+            StructureTensor(tensor.dim, *tensor.pair_arrays())
 
 
 class Index:

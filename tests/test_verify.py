@@ -165,7 +165,8 @@ class TestXabRoutes:
             a = [rng.uniform(-1, 1) for _ in range(5)]
             b = [rng.uniform(-1, 1) for _ in range(5)]
             report = defect_report(scheme5_row3, a, b, tensor=tensor5_row3)
-            assert report.consistent(tol=1e-9)
+            routes = (report.xab_direct, report.xab_tensor, report.xab_pairs)
+            assert max(routes) - min(routes) <= 1e-9
 
     def test_pairs_requires_matching_scheme(
         self, tensor7_row11, scheme7_row2, tensor5_row3, scheme5_row3
