@@ -18,7 +18,9 @@ from .reference import reproduce_tables
 from .schemes import axis_matchings, enumerate_schemes, feasible_dimension
 from .tensor import build_tensor
 from .textio import emit_scheme_json, emit_scheme_text, load_scheme
-from .verify import census, defect_report, format_witness, tensor_verdict, write_census_csv
+from .verify import (
+    census, defect_report, format_witness, tensor_verdict, write_census_csv, xab_direct
+)
 
 
 def _parse_vector(text: str) -> tuple:
@@ -124,9 +126,8 @@ def _cmd_cross(args) -> int:
     tensor = build_tensor(scheme)
     a = _parse_vector(args.vector_a)
     b = _parse_vector(args.vector_b)
-    report = defect_report(scheme, a, b, tensor=tensor)
     print(f"A x B = {format_combination(tensor.cross(a, b))}")
-    print(f"X_AB = {_format_number(report.xab_direct)}")
+    print(f"X_AB = {_format_number(xab_direct(tensor, a, b))}")
     return 0
 
 

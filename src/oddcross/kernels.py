@@ -11,6 +11,7 @@ Plücker criterion.
 """
 
 import sys
+from operator import index
 
 from .errors import ChoiceRangeError
 
@@ -24,11 +25,21 @@ def active_backend():
 
 
 def _check_choice(axis_masks, d, choice):
-    # Without this a negative choice would silently wrap to the last matching.
-    if not 0 <= choice < len(axis_masks[d]):
+    """``choice`` as the int index of a candidate of axis d.
+
+    Without this a negative choice would silently wrap to the last
+    matching, and a float would fail as a bare TypeError.
+    """
+    last = len(axis_masks[d]) - 1
+    try:
+        choice = index(choice)
+    except TypeError:
         raise ChoiceRangeError(
-            f"choice {choice} for axis {d + 1} is outside 0..{len(axis_masks[d]) - 1}"
-        )
+            f"choice {choice!r} for axis {d + 1} is outside the ints 0..{last}"
+        ) from None
+    if not 0 <= choice <= last:
+        raise ChoiceRangeError(f"choice {choice} for axis {d + 1} is outside 0..{last}")
+    return choice
 
 
 def enumerate_covers(axis_masks, prefix=()):
@@ -41,9 +52,10 @@ def enumerate_covers(axis_masks, prefix=()):
 
     ``prefix`` pins the first choices, so the walk starts at axis
     ``len(prefix)`` and yields exactly the branches that begin with it.
-    Every prefix choice is checked before the scan; one outside
-    ``0..len(candidates)-1`` raises ChoiceRangeError. A prefix whose
-    choices share a pair yields nothing.
+    Every prefix choice is checked before the scan; one that is not an int
+    of ``0..len(candidates)-1`` raises ChoiceRangeError, and an int-like
+    choice (``True``, a numpy integer) is walked as the int it stands for.
+    A prefix whose choices share a pair yields nothing.
 
     Precondition (exact cover): the candidates of an axis are distinct
     masks, every candidate has the same number of bits, and the number of
@@ -67,8 +79,7 @@ def enumerate_covers(axis_masks, prefix=()):
     n_axes = len(axis_masks)
     if len(prefix) > n_axes:
         raise ChoiceRangeError("prefix longer than the number of axes")
-    for d, choice in enumerate(prefix):
-        _check_choice(axis_masks, d, choice)
+    prefix = tuple(_check_choice(axis_masks, d, choice) for d, choice in enumerate(prefix))
     used = 0
     for d, choice in enumerate(prefix):
         mask = axis_masks[d][choice]
@@ -76,7 +87,7 @@ def enumerate_covers(axis_masks, prefix=()):
             return
         used |= mask
 
-    yield from _walk(axis_masks, len(prefix), tuple(prefix), used, _Tails(axis_masks))
+    yield from _walk(axis_masks, len(prefix), prefix, used, _Tails(axis_masks))
 
 
 def _walk(axis_masks, d, branch, used, tails):

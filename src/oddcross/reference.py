@@ -56,7 +56,7 @@ def _check_axis_pairings(dim: Dimension) -> Tuple[str, bool]:
     reference = reference_axis_pairings(n)
     ok = True
     for axis in range(1, n + 1):
-        computed = {m.pairs for m in axis_matchings(dim, axis)}
+        computed = set(axis_matchings(dim, axis))
         ref = set(reference[axis])
         if len(computed) != expected_count or computed != ref:
             ok = False

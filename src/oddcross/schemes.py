@@ -4,6 +4,13 @@ A scheme assigns every unordered index pair {i, j} of {1..n} to exactly
 one target axis k, such that the pairs under each axis form a perfect
 matching of the remaining n-1 indices. Such an assignment exists only for
 odd n, where each axis carries (n-1)/2 pairs.
+
+Each fact is stored once. A ``Scheme`` is the tuple of its n matchings,
+and its k-th matching is axis k's: the axis is the position. Adding a
+point 0 and the edge {0, k} to axis k's matching makes the scheme a
+1-factorization of K_{n+1}, whose class holding {0, k} names axis k.
+``Scheme.slots`` is the one structural check of every scheme, parsed,
+branched or built by hand.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from .errors import (
 
 @dataclass(frozen=True)
 class Dimension:
-    """An odd dimension n >= 3 together with the pair budget of each axis.
+    """An odd dimension n >= 3 and the pair budget of each axis.
 
     The n(n-1)/2 unordered pairs split into n equal groups only when
     (n-1)/2 is an integer, so even n is rejected outright, and each axis
@@ -39,10 +46,9 @@ class Dimension:
     """
 
     n: int
-    pairs_per_axis: int
 
     def __post_init__(self):
-        n, half = self.n, self.pairs_per_axis
+        n = self.n
         if not isinstance(n, int):
             raise SchemeValidationError(f"dimension must be an int, got {n!r}")
         if n < 3:
@@ -51,8 +57,11 @@ class Dimension:
             raise EvenDimensionError(
                 f"n={n}: {n * (n - 1) // 2} pairs cannot be split evenly over {n} axes"
             )
-        if not isinstance(half, int) or half != (n - 1) // 2:
-            raise SchemeValidationError(f"inconsistent dimension: n={n}, pairs_per_axis={half!r}")
+
+    @property
+    def pairs_per_axis(self) -> int:
+        """Pairs on each axis, (n-1)/2."""
+        return (self.n - 1) // 2
 
     @property
     def pair_count(self) -> int:
@@ -67,7 +76,7 @@ class Dimension:
 
 def feasible_dimension(n: int) -> Dimension:
     """The Dimension of n, checked as ``Dimension`` checks it."""
-    return Dimension(n, (n - 1) // 2 if isinstance(n, int) else 0)
+    return Dimension(n)
 
 
 class Pair(NamedTuple):
@@ -94,14 +103,17 @@ def make_pair(a: int, b: int) -> Pair:
     return Pair(a, b)
 
 
-class Matching(NamedTuple):
-    """The disjoint pairs assigned to one axis."""
+class Matching(tuple):
+    """The disjoint pairs of one axis, as a tuple of pairs.
 
-    axis: int
-    pairs: Tuple[Pair, ...]
+    A matching does not store its axis: ``Scheme.matchings[k-1]`` is the
+    matching of axis k.
+    """
+
+    __slots__ = ()
 
     def __str__(self) -> str:
-        return " ".join(str(p) for p in self.pairs)
+        return " ".join(map(str, self))
 
 
 @lru_cache(maxsize=None)
@@ -118,7 +130,7 @@ def _axis_matchings(n: int, axis: int) -> Tuple[Matching, ...]:
             for tail in pairings(rest[:pos] + rest[pos + 1 :]):
                 yield (head,) + tail
 
-    return tuple(Matching(axis, pairs) for pairs in pairings(members))
+    return tuple(Matching(pairs) for pairs in pairings(members))
 
 
 def axis_matchings(dim: Dimension, axis: int) -> Tuple[Matching, ...]:
@@ -142,19 +154,15 @@ def pair_index(n: int, pair: Pair) -> int:
 class Scheme:
     """A full assignment: one matching per axis, every pair used exactly once.
 
-    ``matchings[k-1]`` is the matching of axis k, made of pairs lo < hi of
-    1..n. ``validate_scheme`` checks that raw shape; the structure (each
-    axis a matching that avoids the axis, each pair on exactly one axis) is
-    checked once, by ``slots``, the first time they are read.
+    ``matchings[k-1]`` is the matching of axis k: the axis is the position,
+    not a stored field. The whole structure (n matchings, each of pairs
+    lo < hi of 1..n that avoid the axis and share no index, each pair on
+    exactly one axis) is checked once, by ``slots``, the first time they
+    are read, whether the scheme was parsed, branched or built by hand.
     """
 
     dim: Dimension
     matchings: Tuple[Matching, ...]
-
-    @cached_property
-    def assignment(self) -> dict[Pair, int]:
-        """Map each unordered pair to the axis it is assigned to."""
-        return {p: m.axis for m in self.matchings for p in m.pairs}
 
     @cached_property
     def slots(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -165,22 +173,35 @@ class Scheme:
         0-based target and the sign of ``tensor.orient_pair``'s rule (-1
         exactly when the axis lies strictly between i and j).
 
-        This one pass is the scheme's structural check. It takes the axes in
-        order and each axis's pairs in order, and raises for the first pair
-        that holds its own axis (SelfPairError), shares an index with an
-        earlier pair of its axis (BadMatchingError), or sits in a slot an
-        earlier axis wrote (DuplicatePairError). After the pass, a slot left
-        unwritten raises MissingPairError for the first such pair in
-        lexicographic order.
+        This one pass is the scheme's structural check. It raises
+        SchemeValidationError unless there are n matchings. Then it takes
+        the axes in order and each axis's pairs in order, and raises for the
+        first pair that is not two ints lo < hi of 1..n
+        (SchemeValidationError), holds its own axis (SelfPairError), shares
+        an index with an earlier pair of its axis (BadMatchingError), or
+        sits in a slot an earlier axis wrote (DuplicatePairError). After the
+        pass, a slot left unwritten raises MissingPairError for the first
+        such pair in lexicographic order.
         """
         n = self.dim.n
+        if len(self.matchings) != n:
+            raise SchemeValidationError(
+                f"expected one matching per axis ({n}), got {len(self.matchings)}"
+            )
         target = [-1] * self.dim.pair_count
         sign = [0] * self.dim.pair_count
-        for matching in self.matchings:
-            k = matching.axis
+        for k, matching in enumerate(self.matchings, 1):
             held = 0  # bitmask of the indices the axis's pairs already hold
-            for pair in matching.pairs:
-                lo, hi = pair
+            for pair in matching:
+                try:
+                    lo, hi = pair
+                    valid = type(lo) is int and type(hi) is int and 0 < lo < hi <= n
+                except (TypeError, ValueError):
+                    valid = False
+                if not valid:
+                    raise SchemeValidationError(
+                        f"axis {k}: pair {pair} out of range, need two ints lo < hi in 1..{n}"
+                    )
                 if lo == k or hi == k:
                     raise SelfPairError(f"axis {k} appears in its own pair {lo}-{hi}")
                 if held & (1 << lo | 1 << hi):
@@ -206,11 +227,12 @@ def validate_scheme(n: int, pair_lists: Sequence[Iterable]) -> Scheme:
 
     ``pair_lists[k-1]`` holds the pairs claimed for axis k, each pair any
     2-sequence of int indices. The raw shape is checked first, on every
-    axis: one iterable of pairs per axis, each pair two distinct ints of
-    1..n (SchemeValidationError). Then the structure, once, in
-    ``Scheme.slots``: axis by axis, the first SelfPair, BadMatching
-    (overlap within an axis) or DuplicatePair (pair on an earlier axis),
-    and last MissingPair (pair on no axis).
+    axis: one iterable of pairs per axis, each pair two distinct ints of at
+    least 1 (SchemeValidationError). Then the rest, once, in
+    ``Scheme.slots``: axis by axis, the first pair with an index above n
+    (SchemeValidationError), SelfPair, BadMatching (overlap within an axis)
+    or DuplicatePair (pair on an earlier axis), and last MissingPair (pair
+    on no axis).
     """
     dim = feasible_dimension(n)
     try:
@@ -231,11 +253,8 @@ def validate_scheme(n: int, pair_lists: Sequence[Iterable]) -> Scheme:
                 raise SchemeValidationError(
                     f"axis {axis}: pair {raw!r} is not two int indices"
                 ) from None
-            p = make_pair(a, b)
-            if p.hi > n:
-                raise SchemeValidationError(f"axis {axis}: index {p.hi} out of range for n={n}")
-            pairs.append(p)
-        matchings.append(Matching(axis, tuple(sorted(pairs))))
+            pairs.append(make_pair(a, b))
+        matchings.append(Matching(sorted(pairs)))
     scheme = Scheme(dim, tuple(matchings))
     scheme.slots  # the structural check
     return scheme
@@ -250,16 +269,10 @@ def _all_axis_matchings(n: int) -> Tuple[Tuple[Matching, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _axis_choice_masks(n: int) -> Tuple[Tuple[int, ...], ...]:
-    masks = []
-    for matchings in _all_axis_matchings(n):
-        axis_masks = []
-        for matching in matchings:
-            mask = 0
-            for p in matching.pairs:
-                mask |= 1 << pair_index(n, p)
-            axis_masks.append(mask)
-        masks.append(tuple(axis_masks))
-    return tuple(masks)
+    def mask(matching: Matching) -> int:
+        return sum(1 << pair_index(n, p) for p in matching)  # distinct bits: sum is OR
+
+    return tuple(tuple(map(mask, matchings)) for matchings in _all_axis_matchings(n))
 
 
 def _branch_scheme(dim: Dimension, branch: Sequence[int]) -> Scheme:
@@ -278,8 +291,7 @@ def branch_scheme(dim: Dimension, branch: Sequence[int]) -> Scheme:
     if len(branch) != dim.n:
         raise ChoiceRangeError(f"branch has {len(branch)} choices, need one per axis ({dim.n})")
     masks = _axis_choice_masks(dim.n)
-    for d, choice in enumerate(branch):
-        kernels._check_choice(masks, d, choice)
+    branch = [kernels._check_choice(masks, d, choice) for d, choice in enumerate(branch)]
     scheme = _branch_scheme(dim, branch)
     scheme.slots  # raises DuplicatePairError where two matchings share a pair
     return scheme
@@ -327,9 +339,14 @@ def is_closed(scheme: Scheme) -> bool:
     Each pair {i, j} on axis k must be accompanied by {j, k} on axis i and
     {i, k} on axis j; the pairs then organize into (n-1)/2 * n / 3 triples,
     i.e. the scheme is a Steiner triple system on n points.
+
+    Read off the checked ``slots``: each pair {i, j} on axis k gives the
+    triple {i, j, k}, and only the three pairs of a triple can give it, so
+    no triple is given more than three times. The n(n-1)/2 pairs give
+    exactly n(n-1)/6 distinct triples when each is given three times, which
+    is closure, and more otherwise.
     """
-    assign = scheme.assignment
-    for (i, j), k in assign.items():
-        if assign[make_pair(j, k)] != i or assign[make_pair(i, k)] != j:
-            return False
-    return True
+    target = scheme.slots[0]
+    pairs = combinations(range(scheme.dim.n), 2)
+    triples = {1 << i | 1 << j | 1 << k for (i, j), k in zip(pairs, target)}
+    return 3 * len(triples) == len(target)

@@ -3,7 +3,9 @@
 A scheme fixes which axis each basis product lands on; the orientation
 rule fixes the sign. Together they define a sparse tensor L with
 e_i x e_j = L[i,j,k] e_k and L[i,j,k] in {-1, 0, +1}, the n-dimensional
-analogue of the Levi-Civita symbol.
+analogue of the Levi-Civita symbol. ``build_tensor`` holds a scheme's
+checked ``Scheme.slots`` tuples as they are; a tensor built from raw
+lists is checked by the constructor instead.
 
 Arithmetic is polymorphic: integer vectors produce exact integer results,
 float vectors go through ordinary double precision.
@@ -41,7 +43,9 @@ def orient_pair(pair: Pair, axis: int) -> Tuple[int, int]:
     return lo, hi
 
 
-def _validate(n: int, target: list, sign: list) -> None:
+def _validate(n: int, target: Sequence, sign: Sequence) -> Tuple[tuple, tuple]:
+    """The raw slot lists as tuples of ints, once they pass the raw-list check."""
+    target, sign = list(target), list(sign)
     size = n * (n - 1) // 2
     if len(target) != size or len(sign) != size:
         raise TensorValidationError(
@@ -73,6 +77,7 @@ def _validate(n: int, target: list, sign: list) -> None:
                 f"axis {k + 1} holds two pairs sharing an index with {i + 1}-{j + 1}"
             )
         used[k] |= members
+    return tuple(target), tuple(sign)
 
 
 class TensorEntry(NamedTuple):
@@ -88,31 +93,21 @@ class StructureTensor:
     internally, 1-based in the API), and e_j x e_i is its negation, so the
     n(n-1)/2 slots fix the whole antisymmetric product.
 
-    There are two ways in. ``from_scheme`` (and ``build_tensor``) copies a
-    scheme's ``Scheme.slots``, which that scheme's one structural check
+    There are two ways in. ``build_tensor`` shares a scheme's
+    ``Scheme.slots`` tuples, which that scheme's one structural check
     produced, and checks nothing again. The constructor takes raw lists and
     rejects, with TensorValidationError, any that are not a scheme with
     signs: wrong lengths, a target or sign that is not an int, a target out
     of range or equal to i or j, a sign other than +-1, or two pairs on one
     axis that share an index. With n axes of at most (n-1)/2 disjoint pairs
     each holding all n(n-1)/2 pairs, every axis then carries a perfect
-    matching, which the identity classifier relies on.
+    matching, which the identity classifier relies on. Either way the slots
+    are stored as immutable tuples.
     """
 
     def __init__(self, dim: Dimension, target: Sequence[int], sign: Sequence[int]):
         self.dim = dim
-        self._target = list(target)
-        self._sign = list(sign)
-        _validate(dim.n, self._target, self._sign)
-
-    @classmethod
-    def from_scheme(cls, scheme: Scheme) -> "StructureTensor":
-        """The tensor of a scheme under the canonical orientation, built from
-        copies of its checked ``slots`` without the raw-list check."""
-        target, sign = scheme.slots
-        tensor = cls.__new__(cls)
-        tensor.dim, tensor._target, tensor._sign = scheme.dim, list(target), list(sign)
-        return tensor
+        self._target, self._sign = _validate(dim.n, target, sign)
 
     def lookup(self, i: int, j: int) -> Optional[TensorEntry]:
         """The (axis, sign) slot of e_i x e_j, or None when i == j."""
@@ -144,8 +139,8 @@ class StructureTensor:
         return per_axis
 
     def pair_arrays(self) -> Tuple[list, list]:
-        """Copies of the 0-based target and the sign lists, one slot per
-        pair i < j in ``pair_index`` order."""
+        """The 0-based target and the sign slots as fresh lists, one slot
+        per pair i < j in ``pair_index`` order."""
         return list(self._target), list(self._sign)
 
     def cross(self, a: Vector, b: Vector) -> list:
@@ -180,8 +175,16 @@ class StructureTensor:
 
 
 def build_tensor(scheme: Scheme) -> StructureTensor:
-    """Orient every assigned pair and install the signed entries."""
-    return StructureTensor.from_scheme(scheme)
+    """The tensor of a scheme under the canonical orientation.
+
+    It holds the scheme's own checked ``slots`` tuples, so the scheme's
+    structural check runs here if it has not run yet, and the raw-list
+    check does not run at all.
+    """
+    tensor = StructureTensor.__new__(StructureTensor)
+    tensor.dim = scheme.dim
+    tensor._target, tensor._sign = scheme.slots
+    return tensor
 
 
 def pair_determinant(a: Vector, b: Vector, alpha: int, beta: int):

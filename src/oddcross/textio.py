@@ -19,6 +19,7 @@ import json
 import os
 import sys
 from functools import lru_cache
+from itertools import count
 from typing import Optional
 
 from .errors import SchemeSyntaxError
@@ -28,8 +29,8 @@ from .schemes import Matching, Scheme, validate_scheme
 # An n=9 stream draws its lines from 9 x 105 matchings; the bound keeps
 # emitting parsed large-n schemes from growing the cache without limit.
 @lru_cache(maxsize=2**14)
-def _matching_line(matching: Matching) -> str:
-    return f"{matching.axis}: {matching}\n"
+def _matching_line(axis: int, matching: Matching) -> str:
+    return f"{axis}: {matching}\n"
 
 
 _encode_json = json.JSONEncoder(separators=(",", ":")).encode
@@ -37,13 +38,13 @@ _encode_json = json.JSONEncoder(separators=(",", ":")).encode
 
 def emit_scheme_text(scheme: Scheme) -> str:
     """Canonical serialization; parse_scheme_text inverts it exactly."""
-    return f"n={scheme.dim.n}\n" + "".join(map(_matching_line, scheme.matchings))
+    return f"n={scheme.dim.n}\n" + "".join(map(_matching_line, count(1), scheme.matchings))
 
 
 def emit_scheme_json(scheme_id: int, scheme: Scheme) -> str:
     """One JSON Lines row: the id, n, and per axis its "lo-hi" pair tokens,
     cut from the same cached matching lines as ``emit_scheme_text``."""
-    axes = [_matching_line(m).split()[1:] for m in scheme.matchings]
+    axes = [_matching_line(k, m).split()[1:] for k, m in enumerate(scheme.matchings, 1)]
     return _encode_json({"scheme_id": scheme_id, "n": scheme.dim.n, "axes": axes}) + "\n"
 
 

@@ -53,14 +53,12 @@ def _check_dims(tensor: StructureTensor, a: Vector, b: Vector) -> int:
 
 def orthogonality_defect(tensor: StructureTensor, a: Vector, b: Vector) -> Tuple:
     """((AxB).A, (AxB).B); both are zero for every closed, oriented scheme."""
-    _check_dims(tensor, a, b)
     c = tensor.cross(a, b)
     return dot(c, a), dot(c, b)
 
 
 def xab_direct(tensor: StructureTensor, a: Vector, b: Vector):
     """X_AB from its definition: |AxB|^2 - |A|^2 |B|^2 + (A.B)^2."""
-    _check_dims(tensor, a, b)
     c = tensor.cross(a, b)
     return dot(c, c) - dot(a, a) * dot(b, b) + dot(a, b) ** 2
 
@@ -125,18 +123,16 @@ def xab_pairs(tensor: StructureTensor, a: Vector, b: Vector, scheme: Scheme):
         raise SchemeTensorMismatchError(
             f"scheme is {scheme.dim.n}-dimensional, tensor is {n}-dimensional"
         )
-    for (i, j, k, s), (_, _, axis, sign) in zip(
-        StructureTensor.from_scheme(scheme).entries(), tensor.entries()
-    ):
-        if (axis, sign) != (k, s):
+    for (i, j, axis, sign), k, s in zip(tensor.entries(), *scheme.slots):
+        if (axis, sign) != (k + 1, s):
             alpha, beta = (i, j) if s > 0 else (j, i)
             raise SchemeTensorMismatchError(
                 f"tensor sends e{alpha} x e{beta} to {'-' if sign != s else '+'}e{axis}, "
-                f"scheme says +e{k}"
+                f"scheme says +e{k + 1}"
             )
     total = 0
-    for matching in scheme.matchings:
-        dets = [pair_determinant(a, b, *orient_pair(p, matching.axis)) for p in matching.pairs]
+    for axis, matching in enumerate(scheme.matchings, 1):
+        dets = [pair_determinant(a, b, *orient_pair(p, axis)) for p in matching]
         for d1, d2 in combinations(dets, 2):
             total += d1 * d2
     return 2 * total
@@ -230,7 +226,7 @@ def _matching_masks(n: int):
                 layout,
                 axis - 1,
                 # The sign of e_lo x e_hi: +1 when orient_pair keeps (lo, hi).
-                [(pair_index(n, p), 1 if orient_pair(p, axis) == p else -1) for p in m.pairs],
+                [(pair_index(n, p), 1 if orient_pair(p, axis) == p else -1) for p in m],
             )
             for m in axis_matchings(dim, axis)
         )

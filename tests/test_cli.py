@@ -8,6 +8,7 @@ import pytest
 
 import oddcross
 from oddcross.cli import format_combination, main
+from oddcross.reference import _data_lines
 
 from conftest import ROW2_7D, ROW3_5D, ROW11_7D
 
@@ -144,6 +145,21 @@ class TestCommands:
         code, out, _ = run(capsys, *argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    def test_pinned_reference_rows(self, capsys):
+        # sha256 of the stdout of `tensor`, then `verify`, for each row of
+        # schemes_5.txt and then of schemes_7.txt, taken before tensors
+        # shared their scheme's slots.
+        digest = hashlib.sha256()
+        for n in (5, 7):
+            for row in _data_lines(f"schemes_{n}.txt"):
+                for command in ("tensor", "verify"):
+                    code, out, _ = run(capsys, command, "--scheme", row, "-n", str(n))
+                    assert code == 0
+                    digest.update(out.encode("utf-8"))
+        assert digest.hexdigest() == (
+            "a9f151d070269b776ed420c430f59338eb7165eb662ca71b387fbcb90d0b308b"
+        )
 
     def test_scheme_from_file(self, capsys, tmp_path):
         path = tmp_path / "s.txt"

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -18,6 +19,7 @@ from oddcross import (
     SelfPairError,
     axis_matchings,
     branch_scheme,
+    build_tensor,
     enumerate_schemes,
     feasible_dimension,
     is_closed,
@@ -28,7 +30,7 @@ from oddcross.schemes import scheme_branches
 
 
 def as_pair_lists(scheme):
-    return [[tuple(p) for p in m.pairs] for m in scheme.matchings]
+    return [[tuple(p) for p in m] for m in scheme.matchings]
 
 
 class TestFeasibility:
@@ -56,19 +58,22 @@ class TestFeasibility:
             feasible_dimension(n)
 
     @pytest.mark.parametrize(
-        "n,pairs_per_axis,error",
+        "n,error",
         [
-            # Both used to construct: 4 == 2 * 1.5 + 1 and 1 == 2 * 0 + 1.
-            (4, 1.5, EvenDimensionError),
-            (1, 0, DimensionTooSmallError),
-            (5, 2.0, SchemeValidationError),
-            (5, 3, SchemeValidationError),
-            (7.0, 3, SchemeValidationError),
+            (4, EvenDimensionError),
+            (1, DimensionTooSmallError),
+            (7.0, SchemeValidationError),
         ],
     )
-    def test_dimension_checks_its_fields(self, n, pairs_per_axis, error):
+    def test_dimension_checks_its_fields(self, n, error):
         with pytest.raises(error):
-            Dimension(n=n, pairs_per_axis=pairs_per_axis)
+            Dimension(n)
+
+    def test_n_is_the_only_field(self):
+        # pairs_per_axis used to be a second field that had to agree with n.
+        assert [f.name for f in dataclasses.fields(Dimension)] == ["n"]
+        assert Dimension(9).pairs_per_axis == 4
+        assert feasible_dimension(9) == Dimension(9)
 
 
 class TestAxisMatchings:
@@ -81,7 +86,7 @@ class TestAxisMatchings:
             assert len(axis_matchings(dim, axis)) == count
 
     def test_lexicographic_order_5d(self, dim5):
-        pairs = [m.pairs for m in axis_matchings(dim5, 1)]
+        pairs = list(axis_matchings(dim5, 1))
         assert pairs == [
             (Pair(2, 3), Pair(4, 5)),
             (Pair(2, 4), Pair(3, 5)),
@@ -91,16 +96,16 @@ class TestAxisMatchings:
     def test_first_matching_7d(self, dim7):
         matchings = axis_matchings(dim7, 1)
         assert len(matchings) == 15
-        assert matchings[0].pairs == (Pair(2, 3), Pair(4, 5), Pair(6, 7))
+        assert matchings[0] == (Pair(2, 3), Pair(4, 5), Pair(6, 7))
 
     def test_single_matching_3d(self, dim3):
         matchings = axis_matchings(dim3, 3)
-        assert [m.pairs for m in matchings] == [(Pair(1, 2),)]
+        assert list(matchings) == [(Pair(1, 2),)]
 
     def test_matching_covers_complement(self, dim7):
         for axis in range(1, 8):
             for m in axis_matchings(dim7, axis):
-                members = sorted(i for p in m.pairs for i in p)
+                members = sorted(i for p in m for i in p)
                 assert members == [i for i in range(1, 8) if i != axis]
 
     def test_axis_out_of_range(self, dim5):
@@ -260,7 +265,7 @@ class TestEnumeration:
 
     def test_exact_cover(self, dim7):
         for scheme in enumerate_schemes(dim7, limit=50):
-            pairs = [p for m in scheme.matchings for p in m.pairs]
+            pairs = [p for m in scheme.matchings for p in m]
             assert len(pairs) == dim7.pair_count
             assert len(set(pairs)) == dim7.pair_count
 
@@ -299,12 +304,22 @@ class TestEnumeration:
             expected = [b for b in full7 if b[: len(prefix)] == prefix]
             assert list(scheme_branches(dim7, prefix=prefix)) == expected
 
-    @pytest.mark.parametrize("prefix", [(-1,), (3,), (0, 15), (0, 0, -1)])
+    @pytest.mark.parametrize(
+        "prefix", [(-1,), (3,), (0, 15), (0, 0, -1), (1.0,), (0, "1"), (0, 0, None)]
+    )
     def test_out_of_range_prefix_rejected(self, dim5, prefix):
         # (-1,) used to wrap silently to the last matching of axis 1. Every
         # choice is checked, even after an earlier pair of choices conflicts.
-        with pytest.raises(ValueError, match="outside"):
+        # A choice that is not an int used to raise a bare TypeError.
+        with pytest.raises(ChoiceRangeError, match="outside"):
             list(scheme_branches(dim5, prefix=prefix))
+
+    def test_int_like_choices_stored_as_int(self, dim5):
+        # A prefix of (True,) used to yield branches that hold True.
+        branches = list(scheme_branches(dim5, prefix=(True,)))
+        assert branches == list(scheme_branches(dim5, prefix=(1,)))
+        assert all(type(c) is int for branch in branches for c in branch)
+        assert branch_scheme(dim5, (True,) + branches[0][1:]) == branch_scheme(dim5, branches[0])
 
     @pytest.mark.parametrize(
         "branch,error,match",
@@ -316,6 +331,9 @@ class TestEnumeration:
             ((0, 0, 0, 0, 0), DuplicatePairError, "4-5"),
             # Too short: a typed error, not an IndexError from indexing.
             ((0, 0), ChoiceRangeError, "one per axis"),
+            # Not ints: typed errors, not a TypeError from tuple indexing.
+            ((0.0, 1, 2, 0, 0), ChoiceRangeError, "choice 0.0 for axis 1 is outside the ints"),
+            ((0, 1, 2, 0, "0"), ChoiceRangeError, "choice '0' for axis 5 is outside the ints"),
         ],
     )
     def test_invalid_branch_rejected(self, dim5, branch, error, match):
@@ -342,8 +360,9 @@ class TestClosure:
 
     def test_5d_row3_not_closed(self, scheme5_row3):
         # {2,4} sits on axis 1 but {1,4} sits on axis 3, not 2.
-        assert scheme5_row3.assignment[Pair(2, 4)] == 1
-        assert scheme5_row3.assignment[Pair(1, 4)] == 3
+        tensor = build_tensor(scheme5_row3)
+        assert tensor.lookup(2, 4).axis == 1
+        assert tensor.lookup(1, 4).axis == 3
         assert not is_closed(scheme5_row3)
 
     def test_3d_closed(self, scheme3):

@@ -17,6 +17,7 @@ from oddcross import (
     StructureTensor,
     TensorEntry,
     Scheme,
+    SchemeValidationError,
     TensorValidationError,
     branch_scheme,
     build_tensor,
@@ -324,7 +325,7 @@ class TestTensorValidation:
 
 class TestSchemeSlots:
     """A scheme's structure is checked once, in ``Scheme.slots``, and
-    ``build_tensor`` copies the checked slots without the raw-list check."""
+    ``build_tensor`` shares the checked slots without the raw-list check."""
 
     def schemes(self):
         for n in (3, 5, 7):
@@ -344,11 +345,21 @@ class TestSchemeSlots:
             assert (t + 1, s2) == (k, s)
             assert orient_pair(Pair(i, j), k) == ((i, j) if s > 0 else (j, i))
 
-    def test_tensor_owns_its_lists(self, scheme5_row3):
-        # The scheme's slots are immutable, and each tensor copies them.
-        assert all(type(part) is tuple for part in scheme5_row3.slots)
+    def test_tensor_owns_its_lists(self, scheme5_row3, tensor5_row3):
+        # The slots are immutable tuples: build_tensor shares the scheme's
+        # own, the constructor stores its checked copies, and pair_arrays()
+        # hands out fresh lists.
+        target, sign = scheme5_row3.slots
+        assert type(target) is tuple and type(sign) is tuple
         tensor = build_tensor(scheme5_row3)
-        assert tensor._target is not build_tensor(scheme5_row3)._target
+        assert tensor._target is target and tensor._sign is sign
+        raw_target, raw_sign = tensor.pair_arrays()
+        rebuilt = StructureTensor(tensor.dim, raw_target, raw_sign)
+        assert type(rebuilt._target) is tuple and type(rebuilt._sign) is tuple
+        raw_target[0] = raw_sign[0] = 0
+        assert rebuilt == tensor == tensor5_row3
+        assert tensor.pair_arrays() == (list(target), list(sign))
+        assert tensor.pair_arrays()[0] is not tensor.pair_arrays()[0]
 
     def test_hand_built_duplicate_rejected(self, dim5):
         # Pair 4-5 sits on axes 1 and 2. This used to get past the scheme and
@@ -360,14 +371,35 @@ class TestSchemeSlots:
             [(1, 5), (2, 3)],
             [(1, 2), (3, 4)],
         ]
-        scheme = Scheme(
-            dim5,
-            tuple(Matching(k, tuple(Pair(*p) for p in m)) for k, m in enumerate(matchings, 1)),
-        )
+        scheme = Scheme(dim5, tuple(Matching(Pair(*p) for p in m) for m in matchings))
         with pytest.raises(DuplicatePairError) as err:
             build_tensor(scheme)
         assert err.value.pair == Pair(4, 5)
         assert err.value.axes == (1, 2)
+
+    @pytest.mark.parametrize(
+        "edit,error,match",
+        [
+            # A sixth matching was accepted, and emitted as a "6: " line.
+            ({5: []}, SchemeValidationError, r"one matching per axis \(5\), got 6"),
+            # Pair(3, 2) used to surface as a duplicate of 4-5.
+            ({3: [(1, 5), (3, 2)]}, SchemeValidationError, "axis 4: pair 3-2 out of range"),
+            # Pair(2.0, 4) used to raise a bare TypeError.
+            ({0: [(2.0, 4), (3, 5)]}, SchemeValidationError, "axis 1: pair 2.0-4 out of range"),
+            # Pair(0, 11) used to alias slot 2-4 and build a tensor.
+            ({0: [(0, 11), (3, 5)]}, SchemeValidationError, "axis 1: pair 0-11 out of range"),
+            # Axis 2's matching in position 1: the position names the axis.
+            ({0: [(1, 3), (4, 5)], 1: [(2, 4), (3, 5)]}, SelfPairError, "axis 1 .* pair 1-3"),
+        ],
+        ids=["count", "unsorted", "float", "zero", "position"],
+    )
+    def test_hand_built_fault_rejected(self, dim5, scheme5_row3, edit, error, match):
+        # Row 3 with the matchings at the given positions replaced.
+        matchings = list(scheme5_row3.matchings)
+        for position, pairs in edit.items():  # position 5 appends a sixth
+            matchings[position : position + 1] = [Matching(Pair(*p) for p in pairs)]
+        with pytest.raises(error, match=match):
+            build_tensor(Scheme(dim5, tuple(matchings)))
 
     def test_parsed_scheme_skips_the_raw_check(self, monkeypatch):
         def refuse(*args):

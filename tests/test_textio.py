@@ -133,7 +133,7 @@ def scrambled_pairs(scheme, rng):
     """Each axis's pairs in random order, each pair's members in random order."""
     out = []
     for matching in scheme.matchings:
-        pairs = [tuple(rng.sample(tuple(p), 2)) for p in matching.pairs]
+        pairs = [tuple(rng.sample(tuple(p), 2)) for p in matching]
         rng.shuffle(pairs)
         out.append(pairs)
     return out
