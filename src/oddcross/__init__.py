@@ -23,6 +23,7 @@ from .errors import (
     SchemeValidationError,
     SelfPairError,
     TensorValidationError,
+    TooManyMatchingsError,
 )
 from .kernels import BACKEND as KERNEL_BACKEND  # read by perfbench/worker.py
 from .schemes import (

@@ -15,7 +15,7 @@ import sys
 
 from .errors import OddCrossError
 from .reference import reproduce_tables
-from .schemes import axis_matchings, enumerate_schemes, feasible_dimension
+from .schemes import _all_axis_matchings, axis_matchings, enumerate_schemes, feasible_dimension
 from .tensor import build_tensor
 from .textio import emit_scheme_json, emit_scheme_text, load_scheme
 from .verify import (
@@ -98,6 +98,7 @@ def _cmd_matchings(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     dim = feasible_dimension(args.n)
+    _all_axis_matchings(args.n)  # refuses too many matchings before any output
     stream = enumerate_schemes(dim, limit=args.limit)
     with _open_output(args.output) as out:
         if args.format == "jsonl":
@@ -135,7 +136,7 @@ def _cmd_verify(args) -> int:
     scheme = load_scheme(args.scheme, args.n)
     tensor = build_tensor(scheme)
     closed, ortho_zero, xab_zero, witness = tensor_verdict(tensor)
-    print(f"n: {scheme.dim.n}")
+    print(f"n: {len(scheme)}")
     print(f"closed: {_bool_text(closed)}")
     print(f"orthogonality_zero: {_bool_text(ortho_zero)}")
     print(f"xab_zero: {_bool_text(xab_zero)}")
@@ -157,6 +158,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_census(args) -> int:
     dim = feasible_dimension(args.n)
+    _all_axis_matchings(args.n)  # refuses too many matchings before any output
     records = census(dim, limit=args.limit)
     with _open_output(args.output) as out:
         count = write_census_csv(records, out)

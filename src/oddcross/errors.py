@@ -6,7 +6,8 @@ class OddCrossError(ValueError):
 
 
 class FeasibilityError(OddCrossError):
-    """The requested dimension admits no equal-distribution pairing."""
+    """The requested dimension admits no equal-distribution pairing, or
+    too many to enumerate."""
 
 
 class EvenDimensionError(FeasibilityError):
@@ -15,6 +16,10 @@ class EvenDimensionError(FeasibilityError):
 
 class DimensionTooSmallError(FeasibilityError):
     """Dimensions below 3 leave no pairs to distribute."""
+
+
+class TooManyMatchingsError(FeasibilityError):
+    """The dimension's per-axis matchings are too many to build in memory."""
 
 
 class AxisRangeError(OddCrossError, IndexError):

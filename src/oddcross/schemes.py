@@ -6,11 +6,12 @@ matching of the remaining n-1 indices. Such an assignment exists only for
 odd n, where each axis carries (n-1)/2 pairs.
 
 Each fact is stored once. A ``Scheme`` is the tuple of its n matchings,
-and its k-th matching is axis k's: the axis is the position. Adding a
-point 0 and the edge {0, k} to axis k's matching makes the scheme a
-1-factorization of K_{n+1}, whose class holding {0, k} names axis k.
-``Scheme.slots`` is the one structural check of every scheme, parsed,
-branched or built by hand.
+and its k-th matching is axis k's: the axis is the position and n is the
+count. Adding a point 0 and the edge {0, k} to axis k's matching makes the
+scheme a 1-factorization of K_{n+1}, whose class holding {0, k} names axis
+k. ``Scheme.slots`` is the one structural check, and every scheme, parsed,
+branched or built by hand, passes it when it is built; only
+``enumerate_schemes`` skips it, for branches valid by construction.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, islice
-from operator import index
+from operator import getitem, index
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from . import kernels
@@ -33,6 +34,7 @@ from .errors import (
     MissingPairError,
     SchemeValidationError,
     SelfPairError,
+    TooManyMatchingsError,
 )
 
 
@@ -106,8 +108,8 @@ def make_pair(a: int, b: int) -> Pair:
 class Matching(tuple):
     """The disjoint pairs of one axis, as a tuple of pairs.
 
-    A matching does not store its axis: ``Scheme.matchings[k-1]`` is the
-    matching of axis k.
+    A matching does not store its axis: ``scheme[k-1]`` is the matching
+    of axis k.
     """
 
     __slots__ = ()
@@ -150,19 +152,29 @@ def pair_index(n: int, pair: Pair) -> int:
     return (lo - 1) * n - lo * (lo - 1) // 2 + (hi - lo - 1)
 
 
-@dataclass(frozen=True)
-class Scheme:
-    """A full assignment: one matching per axis, every pair used exactly once.
+class Scheme(tuple):
+    """A full assignment: the tuple of its n matchings, one per axis.
 
-    ``matchings[k-1]`` is the matching of axis k: the axis is the position,
-    not a stored field. The whole structure (n matchings, each of pairs
-    lo < hi of 1..n that avoid the axis and share no index, each pair on
-    exactly one axis) is checked once, by ``slots``, the first time they
-    are read, whether the scheme was parsed, branched or built by hand.
+    ``scheme[k-1]`` is the matching of axis k, so the axis is the position
+    and n is the count: nothing else is stored. Every ``Scheme(matchings)``
+    is checked when it is built, by reading ``slots``, so a scheme that
+    exists has passed the structural check. The one unchecked way in is
+    ``enumerate_schemes``, whose kernel branches are valid by construction.
     """
 
-    dim: Dimension
-    matchings: Tuple[Matching, ...]
+    def __new__(cls, matchings: Iterable[Matching]) -> Scheme:
+        scheme = super().__new__(cls, matchings)
+        scheme.slots  # the structural check
+        return scheme
+
+    def __setattr__(self, name, value):
+        # ``slots`` caches into the instance dict directly, not through here.
+        raise AttributeError(f"cannot set {name!r}: a Scheme is immutable")
+
+    @property
+    def dim(self) -> Dimension:
+        """The Dimension of the count of matchings."""
+        return Dimension(len(self))
 
     @cached_property
     def slots(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -173,32 +185,30 @@ class Scheme:
         0-based target and the sign of ``tensor.orient_pair``'s rule (-1
         exactly when the axis lies strictly between i and j).
 
-        This one pass is the scheme's structural check. It raises
-        SchemeValidationError unless there are n matchings. Then it takes
-        the axes in order and each axis's pairs in order, and raises for the
-        first pair that is not two ints lo < hi of 1..n
-        (SchemeValidationError), holds its own axis (SelfPairError), shares
-        an index with an earlier pair of its axis (BadMatchingError), or
-        sits in a slot an earlier axis wrote (DuplicatePairError). After the
-        pass, a slot left unwritten raises MissingPairError for the first
-        such pair in lexicographic order.
+        This one pass is the scheme's structural check. The count of
+        matchings is n, so it must be a ``Dimension`` (EvenDimensionError,
+        DimensionTooSmallError). Then it takes the axes in order and each
+        axis's pairs in order, and raises for the first matching that is not
+        a ``Matching`` or pair that is not a ``Pair`` of two ints lo < hi of
+        1..n (SchemeValidationError), a pair that holds its own axis
+        (SelfPairError), shares an index with an earlier pair of its axis
+        (BadMatchingError), or sits in a slot an earlier axis wrote
+        (DuplicatePairError). After the pass, a slot left unwritten raises
+        MissingPairError for the first such pair in lexicographic order.
         """
-        n = self.dim.n
-        if len(self.matchings) != n:
-            raise SchemeValidationError(
-                f"expected one matching per axis ({n}), got {len(self.matchings)}"
-            )
-        target = [-1] * self.dim.pair_count
-        sign = [0] * self.dim.pair_count
-        for k, matching in enumerate(self.matchings, 1):
+        dim = self.dim
+        n = dim.n
+        target = [-1] * dim.pair_count
+        sign = [0] * dim.pair_count
+        for k, matching in enumerate(self, 1):
+            if type(matching) is not Matching:
+                raise SchemeValidationError(f"axis {k}: {matching!r} is not a Matching")
             held = 0  # bitmask of the indices the axis's pairs already hold
             for pair in matching:
-                try:
-                    lo, hi = pair
-                    valid = type(lo) is int and type(hi) is int and 0 < lo < hi <= n
-                except (TypeError, ValueError):
-                    valid = False
-                if not valid:
+                if type(pair) is not Pair:
+                    raise SchemeValidationError(f"axis {k}: {pair!r} is not a Pair")
+                lo, hi = pair
+                if not (type(lo) is int and type(hi) is int and 0 < lo < hi <= n):
                     raise SchemeValidationError(
                         f"axis {k}: pair {pair} out of range, need two ints lo < hi in 1..{n}"
                     )
@@ -210,7 +220,7 @@ class Scheme:
                 held |= 1 << lo | 1 << hi
                 p = pair_index(n, pair)
                 if target[p] >= 0:
-                    raise DuplicatePairError(Pair(lo, hi), target[p] + 1, k)
+                    raise DuplicatePairError(pair, target[p] + 1, k)
                 target[p] = k - 1
                 sign[p] = -1 if lo < k < hi else 1
         if -1 in target:
@@ -219,7 +229,7 @@ class Scheme:
         return tuple(target), tuple(sign)
 
     def __str__(self) -> str:
-        return " / ".join(str(m) for m in self.matchings)
+        return " / ".join(map(str, self))
 
 
 def validate_scheme(n: int, pair_lists: Sequence[Iterable]) -> Scheme:
@@ -228,13 +238,13 @@ def validate_scheme(n: int, pair_lists: Sequence[Iterable]) -> Scheme:
     ``pair_lists[k-1]`` holds the pairs claimed for axis k, each pair any
     2-sequence of int indices. The raw shape is checked first, on every
     axis: one iterable of pairs per axis, each pair two distinct ints of at
-    least 1 (SchemeValidationError). Then the rest, once, in
-    ``Scheme.slots``: axis by axis, the first pair with an index above n
-    (SchemeValidationError), SelfPair, BadMatching (overlap within an axis)
-    or DuplicatePair (pair on an earlier axis), and last MissingPair (pair
-    on no axis).
+    least 1 (SchemeValidationError). Then the rest, once, as the Scheme
+    is built (``Scheme.slots``): axis by axis, the first pair with an index
+    above n (SchemeValidationError), SelfPair, BadMatching (overlap within
+    an axis) or DuplicatePair (pair on an earlier axis), and last
+    MissingPair (pair on no axis).
     """
-    dim = feasible_dimension(n)
+    feasible_dimension(n)  # n first, before the raw shape
     try:
         axes = [list(raw_pairs) for raw_pairs in pair_lists]
     except TypeError:
@@ -255,15 +265,29 @@ def validate_scheme(n: int, pair_lists: Sequence[Iterable]) -> Scheme:
                 ) from None
             pairs.append(make_pair(a, b))
         matchings.append(Matching(sorted(pairs)))
-    scheme = Scheme(dim, tuple(matchings))
-    scheme.slots  # the structural check
-    return scheme
+    return Scheme(matchings)
+
+
+# The n * (n-2)!! matchings of n=13, the largest n built whole: about a
+# 64 MB peak RSS (Python 3.11). n=15 would need 2,027,025 of them.
+_MATCHING_BUDGET = 135_135
 
 
 @lru_cache(maxsize=None)
 def _all_axis_matchings(n: int) -> Tuple[Tuple[Matching, ...], ...]:
-    """``axis_matchings`` of every axis of an odd n, indexed by axis - 1."""
+    """``axis_matchings`` of every axis of an odd n, indexed by axis - 1.
+
+    The one place that builds every axis's matchings, so the one place that
+    refuses, from their count and before building any, an n whose matchings
+    do not fit in memory (TooManyMatchingsError).
+    """
     dim = feasible_dimension(n)
+    count = n * dim.matchings_per_axis
+    if count > _MATCHING_BUDGET:
+        raise TooManyMatchingsError(
+            f"n={n}: its axes have {count:,} matchings, too many to build "
+            f"(the limit is {_MATCHING_BUDGET:,}, reached at n=13)"
+        )
     return tuple(axis_matchings(dim, axis) for axis in range(1, n + 1))
 
 
@@ -275,26 +299,18 @@ def _axis_choice_masks(n: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(tuple(map(mask, matchings)) for matchings in _all_axis_matchings(n))
 
 
-def _branch_scheme(dim: Dimension, branch: Sequence[int]) -> Scheme:
-    # Unchecked: for branches the kernel yields, valid by construction.
-    per_axis = _all_axis_matchings(dim.n)
-    return Scheme(dim, tuple([matchings[c] for matchings, c in zip(per_axis, branch)]))
-
-
 def branch_scheme(dim: Dimension, branch: Sequence[int]) -> Scheme:
     """Materialize the scheme picked by per-axis matching indices.
 
     Raises ChoiceRangeError unless ``branch`` holds one index per axis,
     each inside that axis's matchings, and DuplicatePairError when two
-    chosen matchings share a pair.
+    chosen matchings share a pair: the Scheme is checked as it is built.
     """
     if len(branch) != dim.n:
         raise ChoiceRangeError(f"branch has {len(branch)} choices, need one per axis ({dim.n})")
     masks = _axis_choice_masks(dim.n)
     branch = [kernels._check_choice(masks, d, choice) for d, choice in enumerate(branch)]
-    scheme = _branch_scheme(dim, branch)
-    scheme.slots  # raises DuplicatePairError where two matchings share a pair
-    return scheme
+    return Scheme(map(getitem, _all_axis_matchings(dim.n), branch))
 
 
 def scheme_branches(
@@ -310,7 +326,8 @@ def scheme_branches(
     branch, ``_axis_choice_masks`` builds every axis's (n-2)!! matchings
     and their masks: 135k matchings over all axes at n=13 (1.4-1.8 s and a
     64 MB peak RSS before the first branch, Python 3.11 on a 2-core
-    machine), 2.0M at n=15 and 34.5M at n=17. Large n do not stream.
+    machine). From n=15 on (2.0M at n=15, 34.5M at n=17) they are refused
+    with TooManyMatchingsError instead.
     """
     covers = kernels.enumerate_covers(_axis_choice_masks(dim.n), prefix)
     yield from islice(covers, limit)
@@ -328,9 +345,13 @@ def enumerate_schemes(
     ``axis_matchings`` order, so the stream is deterministic. Any assignment
     with all-distinct pairs is automatically an exact cover (n(n-1)/2 slots
     for n(n-1)/2 pairs), so no post-filtering is needed.
+
+    The kernel's branches are valid by construction (``enumerate_covers``),
+    so each Scheme is built without the check that ``Scheme(...)`` runs.
     """
+    per_axis = _all_axis_matchings(dim.n)
     for branch in scheme_branches(dim, prefix=prefix, limit=limit):
-        yield _branch_scheme(dim, branch)
+        yield tuple.__new__(Scheme, map(getitem, per_axis, branch))
 
 
 def is_closed(scheme: Scheme) -> bool:
@@ -347,6 +368,6 @@ def is_closed(scheme: Scheme) -> bool:
     is closure, and more otherwise.
     """
     target = scheme.slots[0]
-    pairs = combinations(range(scheme.dim.n), 2)
+    pairs = combinations(range(len(scheme)), 2)
     triples = {1 << i | 1 << j | 1 << k for (i, j), k in zip(pairs, target)}
     return 3 * len(triples) == len(target)

@@ -177,9 +177,9 @@ class StructureTensor:
 def build_tensor(scheme: Scheme) -> StructureTensor:
     """The tensor of a scheme under the canonical orientation.
 
-    It holds the scheme's own checked ``slots`` tuples, so the scheme's
-    structural check runs here if it has not run yet, and the raw-list
-    check does not run at all.
+    It holds the scheme's own checked ``slots`` tuples, which a scheme
+    from ``enumerate_schemes`` computes here, and the raw-list check does
+    not run at all.
     """
     tensor = StructureTensor.__new__(StructureTensor)
     tensor.dim = scheme.dim

@@ -28,6 +28,8 @@ from .schemes import Matching, Scheme, validate_scheme
 
 # An n=9 stream draws its lines from 9 x 105 matchings; the bound keeps
 # emitting parsed large-n schemes from growing the cache without limit.
+# Every key is a Matching of Pairs, since a Scheme admits nothing else: a
+# plain tuple equal to a Matching would share its entry but format otherwise.
 @lru_cache(maxsize=2**14)
 def _matching_line(axis: int, matching: Matching) -> str:
     return f"{axis}: {matching}\n"
@@ -38,14 +40,14 @@ _encode_json = json.JSONEncoder(separators=(",", ":")).encode
 
 def emit_scheme_text(scheme: Scheme) -> str:
     """Canonical serialization; parse_scheme_text inverts it exactly."""
-    return f"n={scheme.dim.n}\n" + "".join(map(_matching_line, count(1), scheme.matchings))
+    return f"n={len(scheme)}\n" + "".join(map(_matching_line, count(1), scheme))
 
 
 def emit_scheme_json(scheme_id: int, scheme: Scheme) -> str:
     """One JSON Lines row: the id, n, and per axis its "lo-hi" pair tokens,
     cut from the same cached matching lines as ``emit_scheme_text``."""
-    axes = [_matching_line(k, m).split()[1:] for k, m in enumerate(scheme.matchings, 1)]
-    return _encode_json({"scheme_id": scheme_id, "n": scheme.dim.n, "axes": axes}) + "\n"
+    axes = [_matching_line(k, m).split()[1:] for k, m in enumerate(scheme, 1)]
+    return _encode_json({"scheme_id": scheme_id, "n": len(scheme), "axes": axes}) + "\n"
 
 
 def _parse_pair_token(token: str, lineno: int) -> tuple:

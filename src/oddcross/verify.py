@@ -29,14 +29,7 @@ from itertools import combinations
 from typing import Iterator, NamedTuple, Optional, TextIO, Tuple
 
 from .errors import DimensionMismatchError, SchemeTensorMismatchError
-from .schemes import (
-    Dimension,
-    Scheme,
-    axis_matchings,
-    feasible_dimension,
-    pair_index,
-    scheme_branches,
-)
+from .schemes import Dimension, Scheme, _all_axis_matchings, pair_index, scheme_branches
 from .tensor import StructureTensor, Vector, dot, orient_pair, pair_determinant
 
 CENSUS_CSV_HEADER = ("scheme_id", "closed", "orthogonality_zero", "xab_zero", "witness")
@@ -57,10 +50,14 @@ def orthogonality_defect(tensor: StructureTensor, a: Vector, b: Vector) -> Tuple
     return dot(c, a), dot(c, b)
 
 
+def _xab_of_cross(c: Vector, a: Vector, b: Vector):
+    """X_AB from its definition, given c = A x B: |c|^2 - |A|^2 |B|^2 + (A.B)^2."""
+    return dot(c, c) - dot(a, a) * dot(b, b) + dot(a, b) ** 2
+
+
 def xab_direct(tensor: StructureTensor, a: Vector, b: Vector):
     """X_AB from its definition: |AxB|^2 - |A|^2 |B|^2 + (A.B)^2."""
-    c = tensor.cross(a, b)
-    return dot(c, c) - dot(a, a) * dot(b, b) + dot(a, b) ** 2
+    return _xab_of_cross(tensor.cross(a, b), a, b)
 
 
 def xab_tensor(tensor: StructureTensor, a: Vector, b: Vector):
@@ -119,9 +116,9 @@ def xab_pairs(tensor: StructureTensor, a: Vector, b: Vector, scheme: Scheme):
     equal the scheme's own tensor, entry by entry.
     """
     n = _check_dims(tensor, a, b)
-    if scheme.dim != tensor.dim:
+    if len(scheme) != n:
         raise SchemeTensorMismatchError(
-            f"scheme is {scheme.dim.n}-dimensional, tensor is {n}-dimensional"
+            f"scheme is {len(scheme)}-dimensional, tensor is {n}-dimensional"
         )
     for (i, j, axis, sign), k, s in zip(tensor.entries(), *scheme.slots):
         if (axis, sign) != (k + 1, s):
@@ -131,7 +128,7 @@ def xab_pairs(tensor: StructureTensor, a: Vector, b: Vector, scheme: Scheme):
                 f"scheme says +e{k + 1}"
             )
     total = 0
-    for axis, matching in enumerate(scheme.matchings, 1):
+    for axis, matching in enumerate(scheme, 1):
         dets = [pair_determinant(a, b, *orient_pair(p, axis)) for p in matching]
         for d1, d2 in combinations(dets, 2):
             total += d1 * d2
@@ -217,9 +214,10 @@ def _axis_mask(layout: _Layout, axis: int, pairs) -> int:
 @lru_cache(maxsize=None)
 def _matching_masks(n: int):
     """Per axis (0-based), per matching index: the verdict mask under the
-    canonical orientation of ``orient_pair``."""
+    canonical orientation of ``orient_pair``. An n whose matchings are too
+    many is refused before the layout is built."""
+    per_axis = _all_axis_matchings(n)
     layout = _layout(n)
-    dim = feasible_dimension(n)
     return tuple(
         tuple(
             _axis_mask(
@@ -228,9 +226,9 @@ def _matching_masks(n: int):
                 # The sign of e_lo x e_hi: +1 when orient_pair keeps (lo, hi).
                 [(pair_index(n, p), 1 if orient_pair(p, axis) == p else -1) for p in m],
             )
-            for m in axis_matchings(dim, axis)
+            for m in matchings
         )
-        for axis in range(1, n + 1)
+        for axis, matchings in enumerate(per_axis, 1)
     )
 
 
@@ -397,12 +395,13 @@ def defect_report(
     scheme: Scheme, a: Vector, b: Vector, tensor: StructureTensor
 ) -> DefectReport:
     """Orthogonality defects and X_AB by all three routes for one (A, B),
-    on ``tensor``, the structure tensor of ``scheme``."""
-    d_a, d_b = orthogonality_defect(tensor, a, b)
+    on ``tensor``, the structure tensor of ``scheme``. A x B is computed
+    once, for the defects and the direct route."""
+    c = tensor.cross(a, b)
     return DefectReport(
-        dot_with_a=d_a,
-        dot_with_b=d_b,
-        xab_direct=xab_direct(tensor, a, b),
+        dot_with_a=dot(c, a),
+        dot_with_b=dot(c, b),
+        xab_direct=_xab_of_cross(c, a, b),
         xab_tensor=xab_tensor(tensor, a, b),
         xab_pairs=xab_pairs(tensor, a, b, scheme),
     )
@@ -422,8 +421,8 @@ class CensusRecord:
 def _census_rows(n: int, branches):
     """The verdict of each branch tuple, straight from the per-matching
     masks: no Scheme or StructureTensor is built."""
+    masks = _matching_masks(n)  # first, to refuse too many matchings
     layout = _layout(n)
-    masks = _matching_masks(n)
     for branch in branches:
         mask = 0
         for axis_masks, choice in zip(masks, branch):

@@ -205,6 +205,26 @@ class TestErrors:
         assert out == ""
         assert err == f"error: axis {axis} out of range 1..7\n"
 
+    @pytest.mark.parametrize("command", ["enumerate", "census"])
+    def test_too_many_matchings(self, capsys, monkeypatch, tmp_path, command):
+        def refuse(n, axis):
+            raise AssertionError(f"built the matchings of n={n}")
+
+        monkeypatch.setattr(oddcross.schemes, "_axis_matchings", refuse)
+        target = tmp_path / "out"
+        code, out, err = run(capsys, command, "-n", "15", "-o", str(target))
+        assert code == 1
+        assert out == "" and not target.exists()
+        assert err == (
+            "error: n=15: its axes have 2,027,025 matchings, too many to build "
+            "(the limit is 135,135, reached at n=13)\n"
+        )
+
+    def test_one_axis_of_n15_allowed(self, capsys, monkeypatch):
+        one = (oddcross.Matching((oddcross.Pair(2, 3),)),)
+        monkeypatch.setattr(oddcross.schemes, "_axis_matchings", lambda n, axis: one)
+        assert run(capsys, "matchings", "-n", "15", "--axis", "1") == (0, "2-3\n", "")
+
     def test_unwritable_output(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.csv"
         code, out, err = run(capsys, "census", "-n", "5", "-o", str(target))

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import oddcross.schemes
 from oddcross import (
     BadMatchingError,
     ChoiceRangeError,
@@ -12,14 +13,19 @@ from oddcross import (
     DimensionTooSmallError,
     DuplicatePairError,
     EvenDimensionError,
+    FeasibilityError,
+    Matching,
     MissingPairError,
     OddCrossError,
     Pair,
+    Scheme,
     SchemeValidationError,
     SelfPairError,
+    TooManyMatchingsError,
     axis_matchings,
     branch_scheme,
     build_tensor,
+    census,
     enumerate_schemes,
     feasible_dimension,
     is_closed,
@@ -30,7 +36,7 @@ from oddcross.schemes import scheme_branches
 
 
 def as_pair_lists(scheme):
-    return [[tuple(p) for p in m] for m in scheme.matchings]
+    return [[tuple(p) for p in m] for m in scheme]
 
 
 class TestFeasibility:
@@ -265,7 +271,7 @@ class TestEnumeration:
 
     def test_exact_cover(self, dim7):
         for scheme in enumerate_schemes(dim7, limit=50):
-            pairs = [p for m in scheme.matchings for p in m]
+            pairs = [p for m in scheme for p in m]
             assert len(pairs) == dim7.pair_count
             assert len(set(pairs)) == dim7.pair_count
 
@@ -352,6 +358,64 @@ class TestEnumeration:
         assert len(first) == 3
         for scheme in first:
             assert validate_scheme(9, as_pair_lists(scheme)) == scheme
+
+
+class TestSchemeTuple:
+    """A Scheme is the tuple of its n matchings, checked when it is built."""
+
+    def test_tuple_of_matchings(self, scheme5_row3):
+        assert isinstance(scheme5_row3, tuple) and len(scheme5_row3) == 5
+        assert scheme5_row3[0] == Matching((Pair(2, 4), Pair(3, 5)))
+        assert scheme5_row3.dim == Dimension(5)
+        # The cached slots of the check are all that it holds besides them.
+        assert vars(scheme5_row3) == {"slots": scheme5_row3.slots}
+        with pytest.raises(AttributeError):
+            scheme5_row3.slots = ((), ())
+
+    def test_enumerate_path_skips_the_check(self, dim5):
+        for scheme in enumerate_schemes(dim5):
+            assert type(scheme) is Scheme and vars(scheme) == {}
+            assert Scheme(scheme) == scheme
+            assert "slots" in vars(Scheme(scheme))
+
+    def test_str(self, scheme5_row3):
+        assert str(scheme5_row3) == "2-4 3-5 / 1-3 4-5 / 1-4 2-5 / 1-5 2-3 / 1-2 3-4"
+
+
+def refuse_to_build(n, axis):
+    raise AssertionError(f"built the matchings of n={n}")
+
+
+class TestMatchingBudget:
+    """enumerate and census refuse an n whose matchings would not fit in
+    memory, from their count and before building any of them."""
+
+    @pytest.mark.parametrize("n,count", [(15, "2,027,025"), (17, "34,459,425"), (101, "")])
+    def test_enumerate_refuses(self, monkeypatch, n, count):
+        monkeypatch.setattr(oddcross.schemes, "_axis_matchings", refuse_to_build)
+        with pytest.raises(TooManyMatchingsError, match=f"n={n}: its axes have {count}"):
+            next(enumerate_schemes(feasible_dimension(n)))
+
+    def test_census_refuses(self, monkeypatch):
+        monkeypatch.setattr(oddcross.schemes, "_axis_matchings", refuse_to_build)
+        with pytest.raises(TooManyMatchingsError, match="2,027,025 matchings"):
+            next(census(feasible_dimension(15)))
+
+    def test_is_a_feasibility_error(self):
+        assert issubclass(TooManyMatchingsError, FeasibilityError)
+
+    def test_n13_and_one_axis_of_n15_allowed(self, monkeypatch):
+        built = []
+
+        def record(n, axis):
+            built.append((n, axis))
+            return ()
+
+        monkeypatch.setattr(oddcross.schemes, "_axis_matchings", record)
+        # The uncached function, so the stub's result is not kept for n=13.
+        assert oddcross.schemes._all_axis_matchings.__wrapped__(13) == ((),) * 13
+        assert axis_matchings(feasible_dimension(15), 1) == ()
+        assert built == [(13, axis) for axis in range(1, 14)] + [(15, 1)]
 
 
 class TestClosure:

@@ -9,6 +9,7 @@ import oddcross.tensor
 from oddcross import (
     DimensionMismatchError,
     DuplicatePairError,
+    EvenDimensionError,
     IndexRangeError,
     Matching,
     OddCrossError,
@@ -361,7 +362,7 @@ class TestSchemeSlots:
         assert tensor.pair_arrays() == (list(target), list(sign))
         assert tensor.pair_arrays()[0] is not tensor.pair_arrays()[0]
 
-    def test_hand_built_duplicate_rejected(self, dim5):
+    def test_hand_built_duplicate_rejected(self):
         # Pair 4-5 sits on axes 1 and 2. This used to get past the scheme and
         # surface from the raw-list check as "entry (2, 4) has sign 0".
         matchings = [
@@ -371,17 +372,17 @@ class TestSchemeSlots:
             [(1, 5), (2, 3)],
             [(1, 2), (3, 4)],
         ]
-        scheme = Scheme(dim5, tuple(Matching(Pair(*p) for p in m) for m in matchings))
         with pytest.raises(DuplicatePairError) as err:
-            build_tensor(scheme)
+            Scheme(Matching(Pair(*p) for p in m) for m in matchings)
         assert err.value.pair == Pair(4, 5)
         assert err.value.axes == (1, 2)
 
     @pytest.mark.parametrize(
         "edit,error,match",
         [
-            # A sixth matching was accepted, and emitted as a "6: " line.
-            ({5: []}, SchemeValidationError, r"one matching per axis \(5\), got 6"),
+            # A sixth matching was accepted, and emitted as a "6: " line. Six
+            # matchings now make a scheme of the even dimension 6.
+            ({5: []}, EvenDimensionError, "n=6"),
             # Pair(3, 2) used to surface as a duplicate of 4-5.
             ({3: [(1, 5), (3, 2)]}, SchemeValidationError, "axis 4: pair 3-2 out of range"),
             # Pair(2.0, 4) used to raise a bare TypeError.
@@ -393,13 +394,13 @@ class TestSchemeSlots:
         ],
         ids=["count", "unsorted", "float", "zero", "position"],
     )
-    def test_hand_built_fault_rejected(self, dim5, scheme5_row3, edit, error, match):
+    def test_hand_built_fault_rejected(self, scheme5_row3, edit, error, match):
         # Row 3 with the matchings at the given positions replaced.
-        matchings = list(scheme5_row3.matchings)
+        matchings = list(scheme5_row3)
         for position, pairs in edit.items():  # position 5 appends a sixth
             matchings[position : position + 1] = [Matching(Pair(*p) for p in pairs)]
         with pytest.raises(error, match=match):
-            build_tensor(Scheme(dim5, tuple(matchings)))
+            Scheme(matchings)
 
     def test_parsed_scheme_skips_the_raw_check(self, monkeypatch):
         def refuse(*args):

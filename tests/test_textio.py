@@ -7,7 +7,11 @@ from hypothesis import strategies as st
 from oddcross import (
     DuplicatePairError,
     EvenDimensionError,
+    Matching,
+    Pair,
+    Scheme,
     SchemeSyntaxError,
+    SchemeValidationError,
     branch_scheme,
     emit_scheme_text,
     enumerate_schemes,
@@ -132,7 +136,7 @@ class TestEmit:
 def scrambled_pairs(scheme, rng):
     """Each axis's pairs in random order, each pair's members in random order."""
     out = []
-    for matching in scheme.matchings:
+    for matching in scheme:
         pairs = [tuple(rng.sample(tuple(p), 2)) for p in matching]
         rng.shuffle(pairs)
         out.append(pairs)
@@ -168,6 +172,39 @@ class TestRoundTripProperties:
         assert parse_scheme_text(text) == scheme
         assert parse_scheme_text(text, n) == scheme
         assert parse_scheme_text(emit_scheme_text(parse_scheme_text(text))) == scheme
+
+
+class TestHandBuiltSchemes:
+    """A hand-built Scheme is checked when it is built, so a faulty one
+    never reaches the emitters or their cached matching lines. Pair(3, 2),
+    once emitted as "3-2", is refused at ``Scheme(...)`` in test_tensor."""
+
+    @pytest.mark.parametrize(
+        "matching,match",
+        [
+            # Used to be emitted as "1: ((2, 4), (3, 5))", a line that the
+            # emitters' cache then returned for the equal Matching too.
+            (((2, 4), (3, 5)), r"axis 1: \(\(2, 4\), \(3, 5\)\) is not a Matching"),
+            ((Pair(2, 4), Pair(3, 5)), "axis 1: .* is not a Matching"),
+            (Matching(((2, 4), (3, 5))), r"axis 1: \(2, 4\) is not a Pair"),
+        ],
+        ids=["tuple-matching", "tuple-of-pairs", "tuple-pairs"],
+    )
+    def test_fault_raises_at_build(self, scheme5_row3, matching, match):
+        matchings = [matching, *scheme5_row3[1:]]
+        with pytest.raises(SchemeValidationError, match=match):
+            emit_scheme_text(Scheme(matchings))
+        assert emit_scheme_text(scheme5_row3) == ROW3_FULL + "\n"
+
+    @pytest.mark.parametrize("n", [5, 7, 9])
+    def test_rebuilt_and_round_tripped(self, n):
+        rng = random.Random(n)
+        dim = feasible_dimension(n)
+        for _ in range(20):
+            # Built unchecked by the enumerate path.
+            (scheme,) = enumerate_schemes(dim, prefix=random_branch(n, rng))
+            assert Scheme(tuple(scheme)) == scheme
+            assert parse_scheme_text(emit_scheme_text(scheme)) == scheme
 
 
 class TestLoadScheme:

@@ -168,6 +168,22 @@ class TestXabRoutes:
             routes = (report.xab_direct, report.xab_tensor, report.xab_pairs)
             assert max(routes) - min(routes) <= 1e-9
 
+    def test_defect_report_crosses_once(self, monkeypatch, scheme7_row2, tensor7_row2):
+        a, b = (1, -2, 0, 3, 1, 0, 2), (0, 1, 4, -1, 2, 1, 0)
+        expected = (*orthogonality_defect(tensor7_row2, a, b), xab_direct(tensor7_row2, a, b))
+        calls = []
+        cross = StructureTensor.cross
+
+        def counted(self, *args):
+            calls.append(args)
+            return cross(self, *args)
+
+        monkeypatch.setattr(StructureTensor, "cross", counted)
+        report = defect_report(scheme7_row2, a, b, tensor=tensor7_row2)
+        assert calls == [(a, b)]
+        assert (report.dot_with_a, report.dot_with_b, report.xab_direct) == expected
+        assert report.xab_direct == report.xab_tensor == report.xab_pairs != 0
+
     def test_pairs_requires_matching_scheme(
         self, tensor7_row11, scheme7_row2, tensor5_row3, scheme5_row3
     ):
