@@ -16,6 +16,7 @@ from .errors import (
     EvenDimensionError,
     FeasibilityError,
     IndexRangeError,
+    LimitError,
     MissingPairError,
     OddCrossError,
     SchemeSyntaxError,

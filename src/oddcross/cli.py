@@ -15,7 +15,9 @@ import sys
 
 from .errors import OddCrossError
 from .reference import reproduce_tables
-from .schemes import _all_axis_matchings, axis_matchings, enumerate_schemes, feasible_dimension
+from .schemes import (
+    _all_axis_matchings, _check_limit, axis_matchings, enumerate_schemes, feasible_dimension
+)
 from .tensor import build_tensor
 from .textio import emit_scheme_json, emit_scheme_text, load_scheme
 from .verify import (
@@ -232,10 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "limit", None) is not None and args.limit < 1:
-        print("error: limit must be >= 1", file=sys.stderr)
-        return 1
     try:
+        _check_limit(getattr(args, "limit", None))  # before any -o file is opened
         status = args.func(args)
         sys.stdout.flush()
         return status

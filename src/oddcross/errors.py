@@ -36,6 +36,11 @@ class ChoiceRangeError(OddCrossError):
     exactly one choice per axis."""
 
 
+class LimitError(OddCrossError):
+    """A limit on the schemes or branches to yield that is neither None
+    nor an int of at least 1."""
+
+
 class SchemeValidationError(OddCrossError):
     """A candidate pairing scheme violates a structural invariant."""
 

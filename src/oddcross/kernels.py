@@ -1,13 +1,19 @@
 """The exact-cover enumeration kernel.
 
 ``enumerate_covers`` is the depth-first search behind
-``schemes.scheme_branches``: a recursive walk over the axes that, at each
-axis, tries the candidate matchings in order and descends into every one
-disjoint from the choices above it, except on the last two axes, whose
-picks the choices above determine and which it looks up. It works on plain
-integers and tuples, one bitmask over unordered-pair slots per candidate
-matching. Identity classification is decided in ``oddcross.verify`` by the
-Plücker criterion.
+``schemes.scheme_branches``: a recursive walk over the axes that descends,
+at each axis, into the candidate matchings disjoint from the choices above
+it, in order, except on the last two axes, whose picks the choices above
+determine and which it looks up. It works on plain integers and tuples,
+one bitmask over unordered-pair slots per candidate matching.
+
+The walk checks forward (Haralick & Elliott, *Artif. Intell.* 14 (1980)
+263-313). A node does not rescan every candidate of an axis; it carries,
+for each axis it will still walk, the ascending list of candidates that
+are disjoint from its picks. Picking a candidate filters each later list
+by the new mask, and a child whose filter leaves a list empty is pruned:
+no completion exists below it. Identity classification is decided in
+``oddcross.verify`` by the Plücker criterion.
 """
 
 import sys
@@ -52,7 +58,7 @@ def enumerate_covers(axis_masks, prefix=()):
 
     ``prefix`` pins the first choices, so the walk starts at axis
     ``len(prefix)`` and yields exactly the branches that begin with it.
-    Every prefix choice is checked before the scan; one that is not an int
+    Every prefix choice is checked before the walk; one that is not an int
     of ``0..len(candidates)-1`` raises ChoiceRangeError, and an int-like
     choice (``True``, a numpy integer) is walked as the int it stands for.
     A prefix whose choices share a pair yields nothing.
@@ -64,7 +70,7 @@ def enumerate_covers(axis_masks, prefix=()):
     matching has (n-1)/2 pairs, so n disjoint picks hold n(n-1)/2 pairs,
     which is every slot.
 
-    The last two axes are looked up instead of scanned. Disjoint picks
+    The last two axes are looked up instead of walked. Disjoint picks
     have as many bits as ``full``, so they cover it exactly: below a node
     at axis n-2 whose picks use the bits ``used``, the last two picks
     ``m1``, ``m2`` are disjoint and ``m1 | m2 == rest`` with
@@ -73,8 +79,23 @@ def enumerate_covers(axis_masks, prefix=()):
     every such pair is disjoint from ``used`` and from each other, so it
     completes the branch. ``_Tails`` lists these pairs in ``(c1, c2)``
     order, the order of the plain scan, and memoises them per ``rest``
-    for the length of one call. A prefix that reaches past axis n-2 walks
-    the remaining axes by scan.
+    for the length of one call. For the same reason a prefix of length
+    n-1 has one completion at most: a last pick disjoint from ``used`` has
+    as many bits as ``rest``, so it is ``rest``.
+
+    The axes before those two, down to axis n-3, are walked with forward
+    checking. Invariant: a node at axis d whose picks use ``used`` holds,
+    for each axis x of d..n-3, the list of exactly the candidates of x
+    disjoint from ``used``, in ascending order. The root's lists are
+    filtered from the prefix's ``used`` (whole ``range``s when it is 0),
+    and picking candidate c of axis d, with mask m, keeps in each later
+    list the candidates disjoint from m, which are the ones disjoint from
+    ``used | m``. So the candidates a node descends into are the ones the
+    plain scan would descend into, in the same order, and the stream is
+    the scan's. A child with an empty list has no cover below it, since
+    every cover below it needs a pick on that axis disjoint from its
+    picks; pruning it loses no branch. The last walked axis, n-3, goes
+    straight from each listed candidate to ``_Tails``.
     """
     n_axes = len(axis_masks)
     if len(prefix) > n_axes:
@@ -87,23 +108,49 @@ def enumerate_covers(axis_masks, prefix=()):
             return
         used |= mask
 
-    yield from _walk(axis_masks, len(prefix), prefix, used, _Tails(axis_masks))
+    tails = _Tails(axis_masks)
+    rest = tails.full ^ used
+    depth = len(prefix)
+    if depth == n_axes:
+        yield prefix
+    elif depth == n_axes - 1:
+        last = tails.last_index.get(rest)
+        if last is not None:
+            yield prefix + (last,)
+    elif depth == n_axes - 2:
+        for tail in tails[rest]:
+            yield prefix + tail
+    else:
+        lists = [
+            [c for c, mask in enumerate(masks) if not mask & used] if used else range(len(masks))
+            for masks in axis_masks[depth:-2]
+        ]
+        if all(lists):
+            yield from _walk(axis_masks, depth, prefix, rest, lists, tails)
 
 
-def _walk(axis_masks, d, branch, used, tails):
-    # Module-level, not a closure: a recursive closure is a reference cycle
-    # that would keep the memo alive until the cyclic GC runs.
-    if d == len(axis_masks) - 2:
-        for tail in tails[tails.full ^ used]:
-            yield branch + tail
+def _walk(axis_masks, d, branch, rest, lists, tails):
+    # ``lists`` holds the free candidates of axes d..n-3, ``rest`` the bits
+    # no pick uses yet. Module-level, not a closure: a recursive closure is
+    # a reference cycle that would keep the memo and the lists alive until
+    # the cyclic GC runs.
+    masks = axis_masks[d]
+    if len(lists) == 1:
+        for c in lists[0]:
+            for tail in tails[rest ^ masks[c]]:
+                yield branch + (c,) + tail
         return
-    if d == len(axis_masks):
-        # Only a prefix of length n-1 or n gets past the tail depth.
-        yield branch
-        return
-    for c, mask in enumerate(axis_masks[d]):
-        if not mask & used:
-            yield from _walk(axis_masks, d + 1, branch + (c,), used | mask, tails)
+    later = list(zip(axis_masks[d + 1 :], lists[1:]))
+    for c in lists[0]:
+        mask = masks[c]
+        child = []
+        for later_masks, candidates in later:
+            kept = [x for x in candidates if not later_masks[x] & mask]
+            if not kept:
+                break
+            child.append(kept)
+        else:
+            yield from _walk(axis_masks, d + 1, branch + (c,), rest ^ mask, child, tails)
 
 
 class _Tails(dict):

@@ -31,6 +31,7 @@ from .errors import (
     DimensionTooSmallError,
     DuplicatePairError,
     EvenDimensionError,
+    LimitError,
     MissingPairError,
     SchemeValidationError,
     SelfPairError,
@@ -135,14 +136,29 @@ def _axis_matchings(n: int, axis: int) -> Tuple[Matching, ...]:
     return tuple(Matching(pairs) for pairs in pairings(members))
 
 
+# No call builds more matchings than this: the n * (n-2)!! of all axes of
+# n=13, about a 64 MB peak RSS (Python 3.11), or the (n-2)!! of one axis of
+# n=15. All axes of n=15 would be 2,027,025, and one axis of n=17 as many.
+_MATCHING_BUDGET = 135_135
+
+
 def axis_matchings(dim: Dimension, axis: int) -> Tuple[Matching, ...]:
     """All perfect matchings of {1..n} minus the axis, in lexicographic order.
 
     The order is lexicographic on the normalized pair lists; pairing the
-    smallest free index first produces exactly that order.
+    smallest free index first produces exactly that order. An axis with
+    more than ``_MATCHING_BUDGET`` matchings, (n-2)!! of them, is refused
+    from that count, before any is built (TooManyMatchingsError): from
+    n=17 on, 2,027,025 at n=17.
     """
     if not 1 <= axis <= dim.n:
         raise AxisRangeError(f"axis {axis} out of range 1..{dim.n}")
+    count = dim.matchings_per_axis
+    if count > _MATCHING_BUDGET:
+        raise TooManyMatchingsError(
+            f"n={dim.n}: axis {axis} has {count:,} matchings, too many to build "
+            f"(the limit is {_MATCHING_BUDGET:,}, reached at n=15)"
+        )
     return _axis_matchings(dim.n, axis)
 
 
@@ -268,11 +284,6 @@ def validate_scheme(n: int, pair_lists: Sequence[Iterable]) -> Scheme:
     return Scheme(matchings)
 
 
-# The n * (n-2)!! matchings of n=13, the largest n built whole: about a
-# 64 MB peak RSS (Python 3.11). n=15 would need 2,027,025 of them.
-_MATCHING_BUDGET = 135_135
-
-
 @lru_cache(maxsize=None)
 def _all_axis_matchings(n: int) -> Tuple[Tuple[Matching, ...], ...]:
     """``axis_matchings`` of every axis of an odd n, indexed by axis - 1.
@@ -313,6 +324,23 @@ def branch_scheme(dim: Dimension, branch: Sequence[int]) -> Scheme:
     return Scheme(map(getitem, _all_axis_matchings(dim.n), branch))
 
 
+def _check_limit(limit: Optional[int]) -> Optional[int]:
+    """``limit`` as None or an int of at least 1, else LimitError.
+
+    The one check of a count of branches or schemes to stop after, for the
+    library and the ``--limit`` of the CLI alike.
+    """
+    if limit is None:
+        return None
+    try:
+        limit = index(limit)
+    except TypeError:
+        raise LimitError(f"limit must be an int >= 1, got {limit!r}") from None
+    if limit < 1:
+        raise LimitError(f"limit must be an int >= 1, got {limit}")
+    return limit
+
+
 def scheme_branches(
     dim: Dimension,
     *,
@@ -322,13 +350,17 @@ def scheme_branches(
     """Stream branch tuples (per-axis matching indices) in DFS order.
 
     ``prefix`` restricts the walk to the subtree of branches that begin
-    with it. The walk is lazy, but its input is not: before the first
-    branch, ``_axis_choice_masks`` builds every axis's (n-2)!! matchings
-    and their masks: 135k matchings over all axes at n=13 (1.4-1.8 s and a
-    64 MB peak RSS before the first branch, Python 3.11 on a 2-core
-    machine). From n=15 on (2.0M at n=15, 34.5M at n=17) they are refused
-    with TooManyMatchingsError instead.
+    with it, and ``limit`` (None or an int >= 1, else LimitError) stops it
+    after that many. The walk is lazy, but its input is not: before the
+    first branch, ``_axis_choice_masks`` builds every axis's (n-2)!!
+    matchings and their masks: 135k matchings over all axes at n=13 (about
+    1.3 s and a 59 MB peak RSS to the first three branches, Python 3.11 on
+    2 shared cores; the walk's candidate lists are about 3 MB and 20 ms of
+    that).
+    From n=15 on (2.0M at n=15, 34.5M at n=17) they are refused with
+    TooManyMatchingsError instead.
     """
+    limit = _check_limit(limit)
     covers = kernels.enumerate_covers(_axis_choice_masks(dim.n), prefix)
     yield from islice(covers, limit)
 

@@ -1,10 +1,12 @@
 """Test oracle for ``oddcross.kernels.enumerate_covers``.
 
 ``enumerate_covers`` is the plain recursive walk that the kernel used
-before it looked up the last two axes: at every axis it scans all
-candidates and descends into each one disjoint from the choices above it.
-It relies on no exact-cover precondition, so it checks the kernel's tail
-lookup and memo independently.
+before it looked up the last two axes and checked forward: at every axis
+it scans all candidates and descends into each one disjoint from the
+choices above it. It carries no candidate lists, never prunes a node
+before reaching its axis, and relies on no exact-cover precondition, so
+it checks the kernel's candidate lists, prunes, tail lookup and memo
+independently.
 """
 
 from oddcross.errors import ChoiceRangeError

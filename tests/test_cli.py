@@ -198,6 +198,15 @@ class TestErrors:
         assert code == 1
         assert "limit" in err
 
+    @pytest.mark.parametrize("command", ["enumerate", "census"])
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    def test_bad_limit_opens_no_file(self, capsys, tmp_path, command, limit):
+        target = tmp_path / "out"
+        code, out, err = run(capsys, command, "-n", "5", "--limit", limit, "-o", str(target))
+        assert code == 1
+        assert out == "" and not target.exists()
+        assert err == f"error: limit must be an int >= 1, got {limit}\n"
+
     @pytest.mark.parametrize("axis", [0, 9])
     def test_axis_out_of_range(self, capsys, axis):
         code, out, err = run(capsys, "matchings", "-n", "7", "--axis", str(axis))
@@ -218,6 +227,18 @@ class TestErrors:
         assert err == (
             "error: n=15: its axes have 2,027,025 matchings, too many to build "
             "(the limit is 135,135, reached at n=13)\n"
+        )
+
+    def test_one_axis_of_n17_refused(self, capsys, monkeypatch):
+        def refuse(n, axis):
+            raise AssertionError(f"built the matchings of n={n}")
+
+        monkeypatch.setattr(oddcross.schemes, "_axis_matchings", refuse)
+        assert run(capsys, "matchings", "-n", "17", "--axis", "1") == (
+            1,
+            "",
+            "error: n=17: axis 1 has 2,027,025 matchings, too many to build "
+            "(the limit is 135,135, reached at n=15)\n",
         )
 
     def test_one_axis_of_n15_allowed(self, capsys, monkeypatch):

@@ -1,14 +1,17 @@
 """The exact-cover walk against the plain scan of ``covers_oracle``.
 
-The kernel looks up the last two axes in a per-call memo instead of
-scanning them; these streams must equal the oracle's branch for branch,
-in the same order, for full walks, prefixes that stop before, at and past
-the tail depth, and generators that run interleaved.
+The kernel carries each later axis's free candidates down the walk
+(forward checking) and looks up the last two axes in a per-call memo
+instead of scanning them; these streams must equal the oracle's branch for
+branch, in the same order, for full walks, prefixes that stop before, at
+and past the tail depth, prefixes below which an axis has no candidate
+left, and generators that run interleaved.
 """
 
 import gc
 import itertools
 import random
+import sys
 import weakref
 
 import pytest
@@ -57,6 +60,61 @@ def test_n9_subtree_head(first):
     assert got == oracle_branches(9, (first,), 3000)
 
 
+def test_n11_head():
+    # The first 2,000 branches from the root and below a 3-choice prefix.
+    dim11 = feasible_dimension(11)
+    assert list(scheme_branches(dim11, limit=2000)) == oracle_branches(11, limit=2000)
+    prefix = random_branch(11, random.Random(11))[:3]
+    got = list(scheme_branches(dim11, prefix=prefix, limit=2000))
+    assert len(got) == 2000
+    assert got == oracle_branches(11, prefix, 2000)
+
+
+def dead_ends(n, length, seed, tries=3000):
+    """Disjoint prefixes of ``length`` picks, drawn from ``seed``, whose
+    next axis has no candidate disjoint from the picks."""
+    masks = _axis_choice_masks(n)
+    rng = random.Random(seed)
+    found = set()
+    for _ in range(tries):
+        prefix, used = [], 0
+        for d in range(length):
+            free = [c for c, mask in enumerate(masks[d]) if not mask & used]
+            if not free:
+                break
+            prefix.append(rng.choice(free))
+            used |= masks[d][prefix[-1]]
+        else:
+            if all(mask & used for mask in masks[length]):
+                found.add(tuple(prefix))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("n, length", [(7, 5), (9, 6)])
+def test_dead_end_prefixes(monkeypatch, n, length):
+    # At n=9 the empty axis is the last walked one, n-3, so the root's
+    # filter prunes. At n=7 no walked axis ever empties (every n=7 node was
+    # checked), so the empty axis is the penultimate one and the lookup
+    # finds nothing. Either way the walk is never entered.
+    prefixes = dead_ends(n, length, seed=n)
+    assert len(prefixes) >= 5
+    masks = _axis_choice_masks(n)
+
+    def no_walk(*args):
+        raise AssertionError("walked below a dead end")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "_walk", no_walk)
+        for prefix in prefixes:
+            assert list(kernels.enumerate_covers(masks, prefix)) == []
+            assert oracle_branches(n, prefix) == []
+    # One pick shorter, the dead end is a child that the walk prunes.
+    dim = feasible_dimension(n)
+    for prefix in prefixes:
+        parent = prefix[:-1]
+        assert list(scheme_branches(dim, prefix=parent)) == oracle_branches(n, parent)
+
+
 def test_interleaved_generators_keep_their_own_stream():
     dim9 = feasible_dimension(9)
     left = scheme_branches(dim9, prefix=(0,), limit=1000)
@@ -80,5 +138,31 @@ def test_memo_dies_with_the_walk():
         del covers
         # Freed by reference counting alone, with the cyclic GC off.
         assert memo() is None
+    finally:
+        gc.enable()
+
+
+def test_candidate_lists_die_with_the_walk():
+    gc.disable()
+    try:
+        covers = kernels.enumerate_covers(_axis_choice_masks(9), (1,))
+        next(covers)
+        walks, found = [], {}
+        gen = covers
+        while gen is not None:
+            walks.append(weakref.ref(gen))
+            found.update((id(x), x) for x in gen.gi_frame.f_locals["lists"])
+            gen = gen.gi_yieldfrom
+        assert len(walks) == 7  # enumerate_covers, then _walk at axes 1..6 (0-based)
+        held = [[], *found.values()]  # held[0] is a control: only ``held`` refers to it
+        del found, gen
+        counts = [sys.getrefcount(x) for x in held]
+        assert min(counts[1:]) > counts[0]
+        del covers
+        # Freed by reference counting alone, with the cyclic GC off: the
+        # generators are gone, and nothing but ``held`` refers to the lists.
+        assert [walk() for walk in walks] == [None] * len(walks)
+        counts = [sys.getrefcount(x) for x in held]
+        assert counts == [counts[0]] * len(held)
     finally:
         gc.enable()

@@ -14,6 +14,7 @@ from oddcross import (
     DuplicatePairError,
     EvenDimensionError,
     FeasibilityError,
+    LimitError,
     Matching,
     MissingPairError,
     OddCrossError,
@@ -286,6 +287,16 @@ class TestEnumeration:
     def test_limit(self, dim7):
         assert len(list(enumerate_schemes(dim7, limit=17))) == 17
 
+    @pytest.mark.parametrize("limit", [0, -1, 1.5, "2"])
+    def test_bad_limit(self, dim5, limit):
+        # 0 used to yield nothing; it is refused like the rest.
+        for stream in (scheme_branches, enumerate_schemes, census):
+            with pytest.raises(LimitError, match="limit must be an int >= 1"):
+                next(stream(dim5, limit=limit))
+
+    def test_int_like_limit(self, dim5):
+        assert len(list(scheme_branches(dim5, limit=True))) == 1
+
     def test_prefix_partitions_cover_stream(self, dim5, dim7):
         full = list(scheme_branches(dim5))
         parts = [list(scheme_branches(dim5, prefix=(c,))) for c in range(3)]
@@ -387,8 +398,9 @@ def refuse_to_build(n, axis):
 
 
 class TestMatchingBudget:
-    """enumerate and census refuse an n whose matchings would not fit in
-    memory, from their count and before building any of them."""
+    """enumerate, census and one axis's matchings refuse an n whose
+    matchings would not fit in memory, from their count and before
+    building any of them."""
 
     @pytest.mark.parametrize("n,count", [(15, "2,027,025"), (17, "34,459,425"), (101, "")])
     def test_enumerate_refuses(self, monkeypatch, n, count):
@@ -400,6 +412,12 @@ class TestMatchingBudget:
         monkeypatch.setattr(oddcross.schemes, "_axis_matchings", refuse_to_build)
         with pytest.raises(TooManyMatchingsError, match="2,027,025 matchings"):
             next(census(feasible_dimension(15)))
+
+    @pytest.mark.parametrize("n,count", [(17, "2,027,025"), (19, "34,459,425"), (101, "")])
+    def test_one_axis_refuses(self, monkeypatch, n, count):
+        monkeypatch.setattr(oddcross.schemes, "_axis_matchings", refuse_to_build)
+        with pytest.raises(TooManyMatchingsError, match=f"n={n}: axis 2 has {count}"):
+            axis_matchings(feasible_dimension(n), 2)
 
     def test_is_a_feasibility_error(self):
         assert issubclass(TooManyMatchingsError, FeasibilityError)
