@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import os
 import sys
+import time
 
 from .errors import OddCrossError
 from .reference import reproduce_tables
@@ -159,12 +160,18 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    start = time.perf_counter()
     dim = feasible_dimension(args.n)
     _all_axis_matchings(args.n)  # refuses too many matchings before any output
     records = census(dim, limit=args.limit)
     with _open_output(args.output) as out:
         count = write_census_csv(records, out)
-    print(f"census: {count} schemes classified (n={args.n})", file=sys.stderr)
+    elapsed = time.perf_counter() - start
+    print(
+        f"census: {count} schemes classified (n={args.n}) "
+        f"in {elapsed:.2f} s ({count / elapsed:,.0f} schemes/s)",
+        file=sys.stderr,
+    )
     return 0
 
 

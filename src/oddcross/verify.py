@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterator, NamedTuple, Optional, TextIO, Tuple
 
 from .errors import DimensionMismatchError, SchemeTensorMismatchError
@@ -149,6 +149,11 @@ class _Layout(NamedTuple):
       z, and bit t of a plane is the t-th triple;
     * bits 6q+3r..6q+6r, the present roles whose pair has sign -1
       (e_lo x e_hi = -e_axis).
+
+    ``mask >> t & spread`` is the split pattern of 4-subset t: its six
+    plane bits, at bits 0, q, ..., 5q. ``first_probe`` maps each breaking
+    pattern to the index of the witness probe ``_witness`` takes for it.
+    At n=3 (q=0) there is no 4-subset and neither is read.
     """
 
     n: int
@@ -158,6 +163,8 @@ class _Layout(NamedTuple):
     split_bit: list  # [p * pair_count + p2]: covered bit of the split made of pair slots p, p2
     triple_bit: list  # [p * n + k]: present bit of pair slot p sitting on axis k
     probes: tuple  # per 4-subset: the three 0/1 probe pairs (A, B) of the witness
+    spread: int  # bit 0 of each of the six split planes
+    first_probe: dict  # breaking split pattern -> index (0, 1, 2) of its first nonzero probe
 
 
 @lru_cache(maxsize=None)
@@ -192,7 +199,22 @@ def _layout(n: int) -> _Layout:
         )
         for a, b, c, d in quads
     )
-    return _Layout(n, q, r, pair_count, split_bit, triple_bit, probes)
+    spread = 0
+    for plane in range(6):
+        spread |= 1 << plane * q
+    first_probe = {}
+    for k in product((-1, 0, 1), repeat=3):
+        k0, k1, k2 = k
+        values = (2 * (k0 - k2), 2 * (k1 + k2), -2 * (k0 + k1))
+        if any(values):  # all three vanish only for the non-breaking (k, -k, k)
+            pattern = 0
+            for plane, kp in enumerate(k):
+                if kp:
+                    pattern |= 1 << plane * q
+                if kp < 0:
+                    pattern |= 1 << (3 + plane) * q
+            first_probe[pattern] = next(i for i, v in enumerate(values) if v)
+    return _Layout(n, q, r, pair_count, split_bit, triple_bit, probes, spread, first_probe)
 
 
 def _axis_mask(layout: _Layout, axis: int, pairs) -> int:
@@ -315,25 +337,18 @@ def _off_pattern(group: int, w: int) -> Tuple[int, int]:
 
 
 def _witness(layout: _Layout, mask: int, off: int):
-    """A 0/1 vector pair with X_AB != 0, read off the lowest bit of the
-    split planes' ``off``.
+    """A 0/1 vector pair with X_AB != 0, read off the lowest bit t of the
+    split planes' ``off``: one table lookup on the split pattern of t.
 
     On vectors supported on the 4-subset {a,b,c,d} of that bit only its own
     three splits contribute, and the probes give, in this order,
     (e_a+e_c, e_b+e_d): 2(k0-k2); (e_a+e_b, e_c+e_d): 2(k1+k2);
     (e_a+e_d, e_b+e_c): -2(k0+k1). All three vanish only for
-    (k0, k1, k2) = (k, -k, k), which is not a breaking 4-subset.
+    (k0, k1, k2) = (k, -k, k), which is not a breaking 4-subset, so every
+    pattern that reaches here has an entry in ``first_probe``.
     """
     t = (off & -off).bit_length() - 1
-    q = layout.q
-    k0, k1, k2 = (
-        0 if not (mask >> bit) & 1 else (-1 if (mask >> (3 * q + bit)) & 1 else 1)
-        for bit in (t, q + t, 2 * q + t)
-    )
-    for value, probe in zip((2 * (k0 - k2), 2 * (k1 + k2), -2 * (k0 + k1)), layout.probes[t]):
-        if value:
-            return probe
-    raise AssertionError("bad 4-subset with no nonzero probe")  # excluded by the proof
+    return layout.probes[t][layout.first_probe[mask >> t & layout.spread]]
 
 
 def _verdict(layout: _Layout, mask: int):
@@ -407,9 +422,12 @@ def defect_report(
     )
 
 
-@dataclass(frozen=True)
-class CensusRecord:
-    """Classification of one scheme, in enumeration order (1-based ids)."""
+class CensusRecord(NamedTuple):
+    """Classification of one scheme, in enumeration order (1-based ids).
+
+    A named tuple: it compares equal to the plain tuple of its fields, and
+    setting a field raises ``AttributeError``.
+    """
 
     scheme_id: int
     closed: bool
@@ -453,28 +471,33 @@ def format_witness(witness) -> str:
 
 
 def write_census_csv(records, stream: TextIO) -> int:
-    """Write records in the fixed CSV layout; returns the number written."""
-    import csv
+    """Write records in the fixed CSV layout; returns the number written.
 
-    writer = csv.writer(stream, lineterminator="\n")
+    Census verdicts repeat (a few dozen distinct ones per n), so the part
+    of a row after its id is formatted once per distinct ``record[1:]``, by
+    ``csv.writer``, and each row is its id followed by that cached tail.
+    """
+    import csv
+    from io import StringIO
+
+    buf = StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CENSUS_CSV_HEADER)
+    stream.write(buf.getvalue())
     flag = ("false", "true")
-    # Constructed witnesses repeat (three probes per 4-subset), so each is
-    # formatted once.
-    witness_text = {None: ""}
+    tails = {}
     count = 0
     for rec in records:
-        text = witness_text.get(rec.witness)
-        if text is None:
-            text = witness_text[rec.witness] = format_witness(rec.witness)
-        writer.writerow(
-            (
-                rec.scheme_id,
-                flag[rec.closed],
-                flag[rec.orthogonality_zero],
-                flag[rec.xab_zero],
-                text,
+        key = rec[1:]
+        tail = tails.get(key)
+        if tail is None:
+            closed, ortho_zero, xab_zero, witness = key
+            buf.seek(0)
+            buf.truncate()
+            writer.writerow(
+                ("", flag[closed], flag[ortho_zero], flag[xab_zero], format_witness(witness))
             )
-        )
+            tail = tails[key] = buf.getvalue()
+        stream.write(f"{rec[0]}{tail}")
         count += 1
     return count

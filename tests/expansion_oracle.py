@@ -11,6 +11,10 @@ n^4 index 4-tuples, the oracle for the sparse ``verify.xab_tensor``.
 
 Both read the product through ``StructureTensor.lookup`` only, so they do
 not depend on how the tensor stores it.
+
+``decoded_witness`` is the oracle for ``verify._witness``'s table lookup:
+it decodes the split coefficients of the breaking 4-subset bit by bit and
+tries the three probes in order.
 """
 
 
@@ -123,3 +127,20 @@ def xab_dense(tensor, a, b):
                     if chi:
                         total += aibj * a[l] * b[m] * chi
     return total
+
+
+def decoded_witness(layout, mask, off):
+    """The witness of the lowest breaking 4-subset t of ``off``: decode
+    (k0, k1, k2) from the covered and sign planes of ``mask`` at t, then
+    take the first of t's probes whose X_AB, 2(k0-k2), 2(k1+k2) or
+    -2(k0+k1), is nonzero."""
+    t = (off & -off).bit_length() - 1
+    q = layout.q
+    k0, k1, k2 = (
+        0 if not (mask >> bit) & 1 else (-1 if (mask >> (3 * q + bit)) & 1 else 1)
+        for bit in (t, q + t, 2 * q + t)
+    )
+    for value, probe in zip((2 * (k0 - k2), 2 * (k1 + k2), -2 * (k0 + k1)), layout.probes[t]):
+        if value:
+            return probe
+    raise AssertionError("bad 4-subset with no nonzero probe")

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -117,6 +118,15 @@ class TestCommands:
         assert len(lines) == 7
         assert "6 schemes classified" in err
 
+    def test_census_summary_line(self, capsys):
+        code, _, err = run(capsys, "census", "-n", "7", "--limit", "1500")
+        assert code == 0
+        assert re.fullmatch(
+            r"census: 1500 schemes classified \(n=7\) in \d+\.\d\d s "
+            r"\(\d{1,3}(,\d{3})* schemes/s\)\n",
+            err,
+        )
+
     def test_census_limit(self, capsys):
         code, out, _ = run(capsys, "census", "-n", "7", "--limit", "4")
         assert code == 0
@@ -127,8 +137,9 @@ class TestCommands:
         assert code == 0
         assert "overall: PASS" in out
 
-    # sha256 of stdout before the walk looked up its last two axes: any
-    # change of order or format shows here.
+    # sha256 of stdout before the walk looked up its last two axes (the
+    # n=9 census before its rows were formatted once per distinct tail):
+    # any change of order or format shows here.
     @pytest.mark.parametrize(
         "argv,digest",
         [
@@ -138,8 +149,12 @@ class TestCommands:
                 "23f21ce2aa51d5a1870c30f25401c3c6e919d74d63531acea1a5a89064ed5740",
             ),
             ("census -n 7", "a69aa66517cdbfeadd788ae9a1e6a0b2ace4a7de0cd34c40d7bf8a5f75b5fe16"),
+            (
+                "census -n 9 --limit 20000",
+                "626504a6ce120d4233a1283c46bf7d498af90f89b30e2771e85b9f0f9550654c",
+            ),
         ],
-        ids=["enumerate-text", "enumerate-jsonl", "census"],
+        ids=["enumerate-text", "enumerate-jsonl", "census", "census-n9-limit"],
     )
     def test_pinned_output(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv.split())

@@ -1,3 +1,4 @@
+import csv
 import io
 import itertools
 import random
@@ -5,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 from conftest import random_branch
-from expansion_oracle import classify_product_table, xab_dense
+from expansion_oracle import classify_product_table, decoded_witness, xab_dense
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddcross import (
+    CensusRecord,
     DimensionMismatchError,
     SchemeTensorMismatchError,
     StructureTensor,
@@ -33,6 +35,7 @@ from oddcross.reference import reference_schemes
 from oddcross.verify import (
     _census_rows,
     _layout,
+    _off_pattern,
     _verdict,
     classify_tensor,
     tensor_verdict,
@@ -303,23 +306,42 @@ class TestPluckerCriterion:
 
     @pytest.mark.parametrize("k", list(itertools.product((-1, 0, 1), repeat=3)))
     def test_split_coefficient_rule(self, k):
-        # One 4-subset {1,2,3,4} of n=5 with split coefficients k: bad
-        # exactly when k is neither all 0 nor +-(1, -1, 1), and the witness
-        # then has a nonzero X_AB by the 4-subset formula.
-        layout = _layout(5)
-        q = layout.q
-        cov = sum(1 << (plane * q) for plane in range(3) if k[plane])
-        neg = sum(1 << (3 * q + plane * q) for plane in range(3) if k[plane] < 0)
-        _, _, xab_zero, witness = _verdict(layout, cov | neg)
-        assert xab_zero == (k in ((0, 0, 0), (1, -1, 1), (-1, 1, -1)))
-        if not xab_zero:
-            a, b = witness
+        # Split coefficients k alone at 4-subset t, for every t of n=5 and
+        # n=7 and the last t of n=9 (where q=126 and r=84 differ): bad
+        # exactly when k is neither all 0 nor +-(1, -1, 1), and then the
+        # witness that ``_verdict`` looks up is the one the bit-by-bit
+        # decoding oracle gives, and X_AB on it is nonzero by the 4-subset
+        # formula (only t's splits are covered).
+        breaking = k not in ((0, 0, 0), (1, -1, 1), (-1, 1, -1))
+        for n in (5, 7, 9):
+            layout = _layout(n)
+            q = layout.q
+            assert len(layout.first_probe) == 24  # 27 patterns less the three (k, -k, k)
+            if n == 9:
+                assert (q, layout.r) == (126, 84)
+            quads = list(itertools.combinations(range(n), 4))
+            for t in range(q) if n < 9 else [q - 1]:
+                cov = sum(1 << (plane * q + t) for plane in range(3) if k[plane])
+                neg = sum(1 << (3 * q + plane * q + t) for plane in range(3) if k[plane] < 0)
+                mask = cov | neg
+                _, _, xab_zero, witness = _verdict(layout, mask)
+                assert xab_zero != breaking
+                if not breaking:
+                    assert witness is None
+                    continue
+                off = _off_pattern(mask, q)[1]
+                assert off == 1 << t
+                assert witness == decoded_witness(layout, mask, off)
+                a, b = witness
+                assert set(a + b) <= {0, 1}
+                assert not any(a[i] or b[i] for i in range(n) if i not in quads[t])
+                w, x, y, z = quads[t]
 
-            def det(i, j):
-                return a[i] * b[j] - a[j] * b[i]
+                def det(i, j):
+                    return a[i] * b[j] - a[j] * b[i]
 
-            x = k[0] * det(0, 1) * det(2, 3) + k[1] * det(0, 2) * det(1, 3)
-            assert x + k[2] * det(0, 3) * det(1, 2) != 0
+                x_ab = k[0] * det(w, x) * det(y, z) + k[1] * det(w, y) * det(x, z)
+                assert x_ab + k[2] * det(w, z) * det(x, y) != 0
 
     @pytest.mark.parametrize("k", list(itertools.product((-1, 0, 1), repeat=3)))
     def test_triple_role_rule(self, k):
@@ -485,3 +507,69 @@ class TestCensus:
     def test_format_witness(self):
         assert format_witness(None) == ""
         assert format_witness(((1, -2, 0), (0, 1, 2))) == "1,-2,0;0,1,2"
+
+
+def csv_oracle(records):
+    """The census CSV written row by row with a plain ``csv.writer``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("scheme_id", "closed", "orthogonality_zero", "xab_zero", "witness"))
+    for rec in records:
+        flags = ("true" if flag else "false" for flag in rec[1:4])
+        writer.writerow((rec.scheme_id, *flags, format_witness(rec.witness)))
+    return buf.getvalue()
+
+
+class TestCensusCsv:
+    WITNESS = ((1, -2, 0, 10, 0), (0, 1, -13, 2, 100))
+    RECORDS = [
+        CensusRecord(1, True, True, True),
+        CensusRecord(2, False, False, False, WITNESS),
+        CensusRecord(3, False, True, False, ((0, 1, 1), (1, 0, 0))),
+        CensusRecord(4, False, False, True),  # no witness, other flags than id 1
+        # Equal verdicts under other ids: each hits the cached row tail.
+        CensusRecord(9_999, False, False, False, WITNESS),
+        CensusRecord(10_000, True, True, True, None),
+        CensusRecord(123_456, False, False, False, WITNESS),
+        # Same flags, another witness: a tail of its own.
+        CensusRecord(1_000_000, False, False, False, ((1, 0, 0), (0, 1, 1))),
+    ]
+
+    def test_matches_plain_csv_writer(self):
+        buf = io.StringIO()
+        assert write_census_csv(iter(self.RECORDS), buf) == len(self.RECORDS)
+        assert buf.getvalue() == csv_oracle(self.RECORDS)
+        assert '2,false,false,false,"1,-2,0,10,0;0,1,-13,2,100"\n' in buf.getvalue()
+
+    def test_one_format_per_distinct_tail(self, monkeypatch):
+        import oddcross.verify
+
+        calls = []
+
+        def counted(witness):
+            calls.append(witness)
+            return format_witness(witness)
+
+        monkeypatch.setattr(oddcross.verify, "format_witness", counted)
+        write_census_csv(self.RECORDS, io.StringIO())
+        assert len(calls) == len({rec[1:] for rec in self.RECORDS}) == 5
+
+    def test_census_matches_plain_csv_writer(self, dim7):
+        buf = io.StringIO()
+        write_census_csv(census(dim7), buf)
+        assert buf.getvalue() == csv_oracle(census(dim7))
+
+    def test_empty(self):
+        buf = io.StringIO()
+        assert write_census_csv([], buf) == 0
+        assert buf.getvalue() == csv_oracle([])
+
+    def test_record_is_a_named_tuple(self):
+        rec = CensusRecord(7, True, False, True)
+        assert isinstance(rec, tuple)
+        assert CensusRecord._fields == (
+            "scheme_id", "closed", "orthogonality_zero", "xab_zero", "witness"
+        )
+        assert rec == (7, True, False, True, None)
+        with pytest.raises(AttributeError):
+            rec.closed = False
