@@ -97,13 +97,19 @@ def make_pair(a: int, b: int) -> Pair:
         a, b = index(a), index(b)
     except TypeError:
         raise SchemeValidationError(f"pair members must be ints, got {a!r} and {b!r}") from None
-    if a == b:
-        raise SchemeValidationError(f"pair members must differ, got {a}-{b}")
+    return _int_pair(a, b)
+
+
+def _int_pair(a: int, b: int) -> Pair:
+    """The Pair of two int members in either order, built with
+    ``tuple.__new__`` rather than the NamedTuple's Python-level ``__new__``."""
     if a > b:
         a, b = b, a
+    if a == b:
+        raise SchemeValidationError(f"pair members must differ, got {a}-{b}")
     if a < 1:
         raise SchemeValidationError(f"indices are 1-based, got {a}-{b}")
-    return Pair(a, b)
+    return tuple.__new__(Pair, (a, b))
 
 
 class Matching(tuple):
@@ -216,6 +222,8 @@ class Scheme(tuple):
         n = dim.n
         target = [-1] * dim.pair_count
         sign = [0] * dim.pair_count
+        # row[lo] + hi is pair_index(n, (lo, hi)) for each lo < hi.
+        row = [pair_index(n, (lo, lo + 1)) - lo - 1 for lo in range(n)]
         for k, matching in enumerate(self, 1):
             if type(matching) is not Matching:
                 raise SchemeValidationError(f"axis {k}: {matching!r} is not a Matching")
@@ -234,7 +242,7 @@ class Scheme(tuple):
                     member = lo if held >> lo & 1 else hi
                     raise BadMatchingError(f"axis {k}: index {member} appears in two pairs")
                 held |= 1 << lo | 1 << hi
-                p = pair_index(n, pair)
+                p = row[lo] + hi
                 if target[p] >= 0:
                     raise DuplicatePairError(pair, target[p] + 1, k)
                 target[p] = k - 1
@@ -279,7 +287,7 @@ def validate_scheme(n: int, pair_lists: Sequence[Iterable]) -> Scheme:
                 raise SchemeValidationError(
                     f"axis {axis}: pair {raw!r} is not two int indices"
                 ) from None
-            pairs.append(make_pair(a, b))
+            pairs.append(_int_pair(a, b))
         matchings.append(Matching(sorted(pairs)))
     return Scheme(matchings)
 

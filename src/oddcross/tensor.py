@@ -14,7 +14,7 @@ float vectors go through ordinary double precision.
 from __future__ import annotations
 
 from itertools import combinations
-from operator import index
+from operator import index, mul
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
@@ -128,15 +128,12 @@ class StructureTensor:
         for (i, j), k, s in zip(pairs, self._target, self._sign):
             yield i, j, k + 1, s
 
-    def axis_entries(self) -> list:
-        """Per output axis k (0-based), the list of (i, j, sign) with
-        e_i x e_j = sign * e_k over ordered i != j (0-based): each axis gets
-        its n-1 entries, every pair in both orders."""
-        per_axis = [[] for _ in range(self.dim.n)]
-        pairs = combinations(range(self.dim.n), 2)
-        for (i, j), k, s in zip(pairs, self._target, self._sign):
-            per_axis[k] += (i, j, s), (j, i, -s)
-        return per_axis
+    @property
+    def slots(self) -> Tuple[tuple, tuple]:
+        """The 0-based target and the sign slots, in ``pair_index`` order,
+        as the tensor's own immutable tuples: for a ``build_tensor`` tensor,
+        the very ``Scheme.slots`` tuples of its scheme."""
+        return self._target, self._sign
 
     def pair_arrays(self) -> Tuple[list, list]:
         """The 0-based target and the sign slots as fresh lists, one slot
@@ -200,4 +197,4 @@ def dot(a: Vector, b: Vector):
         raise DimensionMismatchError(
             f"vectors have different lengths {len(a)} and {len(b)}"
         )
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))

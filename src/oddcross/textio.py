@@ -50,19 +50,6 @@ def emit_scheme_json(scheme_id: int, scheme: Scheme) -> str:
     return _encode_json({"scheme_id": scheme_id, "n": len(scheme), "axes": axes}) + "\n"
 
 
-def _parse_pair_token(token: str, lineno: int) -> tuple:
-    lo, dash, hi = token.partition("-")
-    if dash:
-        if not (lo.isdigit() and hi.isdigit()):
-            raise SchemeSyntaxError(f"bad pair token {token!r}", line=lineno)
-        return int(lo), int(hi)
-    if len(token) == 2 and token.isdigit():
-        return int(token[0]), int(token[1])
-    raise SchemeSyntaxError(
-        f"bad pair token {token!r} (want 'lo-hi' or a two-digit code)", line=lineno
-    )
-
-
 def _parse_full(lines, expected_n: Optional[int]) -> Scheme:
     header = lines[0][1].strip()
     if not header.startswith("n=") or not header[2:].isdigit():
@@ -83,7 +70,19 @@ def _parse_full(lines, expected_n: Optional[int]) -> Scheme:
             raise SchemeSyntaxError(f"axis {axis} out of range 1..{n}", line=lineno)
         if axis in by_axis:
             raise SchemeSyntaxError(f"axis {axis} listed twice", line=lineno)
-        by_axis[axis] = [_parse_pair_token(tok, lineno) for tok in rest.split()]
+        pairs = by_axis[axis] = []
+        for token in rest.split():
+            lo, dash, hi = token.partition("-")
+            if dash:
+                if not (lo.isdigit() and hi.isdigit()):
+                    raise SchemeSyntaxError(f"bad pair token {token!r}", line=lineno)
+                pairs.append((int(lo), int(hi)))
+            elif len(token) == 2 and token.isdigit():
+                pairs.append((int(token[0]), int(token[1])))
+            else:
+                raise SchemeSyntaxError(
+                    f"bad pair token {token!r} (want 'lo-hi' or a two-digit code)", line=lineno
+                )
     missing = [k for k in range(1, n + 1) if k not in by_axis]
     if missing:
         raise SchemeSyntaxError(f"no line for axis {missing[0]}")

@@ -25,12 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, count, product, starmap
+from operator import mul
 from typing import Iterator, NamedTuple, Optional, TextIO, Tuple
 
 from .errors import DimensionMismatchError, SchemeTensorMismatchError
 from .schemes import Dimension, Scheme, _all_axis_matchings, pair_index, scheme_branches
-from .tensor import StructureTensor, Vector, dot, orient_pair, pair_determinant
+from .tensor import StructureTensor, Vector, dot, orient_pair
 
 CENSUS_CSV_HEADER = ("scheme_id", "closed", "orthogonality_zero", "xab_zero", "witness")
 
@@ -81,8 +82,8 @@ def xab_tensor(tensor: StructureTensor, a: Vector, b: Vector):
       its reverse, of s s' a_i b_j a_l b_m.
     * delta(i,m) delta(j,l) is nonzero only at (i,j,j,i) and
       delta(j,m) delta(i,l) only at (i,j,i,j), each with value 1, so they
-      add a_i b_j a_j b_i - a_i b_j a_i b_j over all ordered (i, j); for
-      i = j the two cancel and are skipped.
+      add a_i b_j a_j b_i - a_i b_j a_i b_j over all ordered (i, j),
+      i = j included, where the two cancel.
 
     A skipped 4-tuple has all three terms zero, so chi = 0 there, and the
     result equals the dense n^4 contraction (kept as the test oracle
@@ -91,18 +92,22 @@ def xab_tensor(tensor: StructureTensor, a: Vector, b: Vector):
     the routes must stay independent.
     """
     n = _check_dims(tensor, a, b)
+    # Per output axis k, s a_i b_j of each of its entries (i, j, s), every
+    # stored pair i < j in both orders.
+    per_axis = [[] for _ in range(n)]
+    for (i, j), k, s in zip(combinations(range(n), 2), *tensor.slots):
+        per_axis[k] += s * a[i] * b[j], -s * a[j] * b[i]
     total = 0
-    for entries in tensor.axis_entries():
-        terms = [s * a[i] * b[j] for i, j, s in entries]
+    for terms in per_axis:
         for t in terms:
             for t2 in terms:
                 total += t * t2
-    for i in range(n):
-        ai, bi = a[i], b[i]
-        for j in range(n):
-            if i != j:
-                aibj = ai * b[j]
-                total += aibj * a[j] * bi - aibj * ai * b[j]
+    # Over all ordered (i, j): a_i b_j a_j b_i = (a_i b_i)(a_j b_j) and
+    # a_i b_j a_i b_j = (a_i a_i)(b_j b_j).
+    ab = list(map(mul, a, b))
+    aa, bb = list(map(mul, a, a)), list(map(mul, b, b))
+    total += sum(starmap(mul, product(ab, repeat=2)))
+    total -= sum(starmap(mul, product(aa, bb)))
     return total
 
 
@@ -113,23 +118,32 @@ def xab_pairs(tensor: StructureTensor, a: Vector, b: Vector, scheme: Scheme):
     The squared norms cancel against the per-pair squares by the Lagrange
     identity, leaving only the mixed products. The determinants assume
     e_alpha x e_beta = +e_axis for each oriented pair, so ``tensor`` must
-    equal the scheme's own tensor, entry by entry.
+    equal the scheme's own tensor, entry by entry (SchemeTensorMismatchError
+    otherwise). That check is skipped only when the tensor holds the
+    scheme's own ``slots`` tuples, as ``build_tensor`` makes it do: the
+    same objects cannot disagree. Every other tensor, even one equal in
+    content, is checked slot by slot.
     """
     n = _check_dims(tensor, a, b)
     if len(scheme) != n:
         raise SchemeTensorMismatchError(
             f"scheme is {len(scheme)}-dimensional, tensor is {n}-dimensional"
         )
-    for (i, j, axis, sign), k, s in zip(tensor.entries(), *scheme.slots):
-        if (axis, sign) != (k + 1, s):
-            alpha, beta = (i, j) if s > 0 else (j, i)
-            raise SchemeTensorMismatchError(
-                f"tensor sends e{alpha} x e{beta} to {'-' if sign != s else '+'}e{axis}, "
-                f"scheme says +e{k + 1}"
-            )
+    held_target, held_sign = tensor.slots
+    if held_target is not scheme.slots[0] or held_sign is not scheme.slots[1]:
+        for (i, j, axis, sign), k, s in zip(tensor.entries(), *scheme.slots):
+            if (axis, sign) != (k + 1, s):
+                alpha, beta = (i, j) if s > 0 else (j, i)
+                raise SchemeTensorMismatchError(
+                    f"tensor sends e{alpha} x e{beta} to {'-' if sign != s else '+'}e{axis}, "
+                    f"scheme says +e{k + 1}"
+                )
     total = 0
     for axis, matching in enumerate(scheme, 1):
-        dets = [pair_determinant(a, b, *orient_pair(p, axis)) for p in matching]
+        dets = []
+        for pair in matching:
+            alpha, beta = orient_pair(pair, axis)  # e_alpha x e_beta = +e_axis
+            dets.append(a[alpha - 1] * b[beta - 1] - a[beta - 1] * b[alpha - 1])
         for d1, d2 in combinations(dets, 2):
             total += d1 * d2
     return 2 * total
@@ -217,19 +231,23 @@ def _layout(n: int) -> _Layout:
     return _Layout(n, q, r, pair_count, split_bit, triple_bit, probes, spread, first_probe)
 
 
-def _axis_mask(layout: _Layout, axis: int, pairs) -> int:
-    """The verdict mask of one axis; ``pairs`` lists its (pair slot, sign)."""
+def _pairs_mask(layout: _Layout, pairs) -> int:
+    """The verdict mask of ``pairs``, (pair slot, 0-based axis, sign)
+    triples with distinct slots: each pair's triple role, and the split it
+    makes with each earlier pair of its axis, one shifted bit each."""
     split_bit, triple_bit = layout.split_bit, layout.triple_bit
     width, n = layout.pair_count, layout.n
-    split_neg, triple_neg = 3 * layout.q, 3 * layout.r
+    # A role of sign -1, or a split of two unequal signs, also sets the sign
+    # bit 3r (or 3q) above its plane bit.
+    split_neg, triple_neg = 1 | 1 << 3 * layout.q, 1 | 1 << 3 * layout.r
+    earlier = [[] for _ in range(n)]  # per axis: the (slot, sign) seen so far
     mask = 0
-    for x, (p, s) in enumerate(pairs):
-        bit = triple_bit[p * n + axis]
-        mask |= 1 << bit if s > 0 else (1 << bit) | (1 << (bit + triple_neg))
+    for p, k, s in pairs:
+        mask |= (1 if s > 0 else triple_neg) << triple_bit[p * n + k]
         row = p * width
-        for p2, s2 in pairs[x + 1 :]:
-            bit = split_bit[row + p2]
-            mask |= 1 << bit if s == s2 else (1 << bit) | (1 << (bit + split_neg))
+        for p2, s2 in earlier[k]:
+            mask |= (1 if s == s2 else split_neg) << split_bit[row + p2]
+        earlier[k].append((p, s))
     return mask
 
 
@@ -242,11 +260,10 @@ def _matching_masks(n: int):
     layout = _layout(n)
     return tuple(
         tuple(
-            _axis_mask(
+            _pairs_mask(
                 layout,
-                axis - 1,
                 # The sign of e_lo x e_hi: +1 when orient_pair keeps (lo, hi).
-                [(pair_index(n, p), 1 if orient_pair(p, axis) == p else -1) for p in m],
+                [(pair_index(n, p), axis - 1, 1 if orient_pair(p, axis) == p else -1) for p in m],
             )
             for m in matchings
         )
@@ -255,16 +272,10 @@ def _matching_masks(n: int):
 
 
 def _tensor_mask(tensor: StructureTensor) -> Tuple[_Layout, int]:
-    """(layout, mask) of a tensor, from its own pairs and signs."""
+    """(layout, mask) of a tensor, from its own slot tuples, whose slot p is
+    in ``pair_index`` order, as in the layout."""
     layout = _layout(tensor.dim.n)
-    target, sign = tensor.pair_arrays()  # slot p is pair_index order, as in the layout
-    per_axis = [[] for _ in range(tensor.dim.n)]
-    for p, k in enumerate(target):
-        per_axis[k].append((p, sign[p]))
-    mask = 0
-    for axis, pairs in enumerate(per_axis):
-        mask |= _axis_mask(layout, axis, pairs)
-    return layout, mask
+    return layout, _pairs_mask(layout, zip(count(), *tensor.slots))
 
 
 def _off_pattern(group: int, w: int) -> Tuple[int, int]:

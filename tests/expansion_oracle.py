@@ -15,6 +15,9 @@ not depend on how the tensor stores it.
 ``decoded_witness`` is the oracle for ``verify._witness``'s table lookup:
 it decodes the split coefficients of the breaking 4-subset bit by bit and
 tries the three probes in order.
+
+``matching_masks_one_bit_at_a_time`` is the oracle for the per-matching
+verdict masks of ``verify._matching_masks``, built one bit at a time.
 """
 
 
@@ -144,3 +147,40 @@ def decoded_witness(layout, mask, off):
         if value:
             return probe
     raise AssertionError("bad 4-subset with no nonzero probe")
+
+
+def matching_masks_one_bit_at_a_time(n):
+    """``verify._matching_masks(n)`` built as it first was, the oracle for
+    ``verify._pairs_mask``: per axis and matching, the pairs listed as
+    (slot, sign), and for each pair its triple-role bit and then the split
+    bit it makes with each later pair of the matching, each OR-ed in on
+    its own, with the sign bit OR-ed in after it for a negative sign or
+    two unequal signs."""
+    from oddcross.schemes import _all_axis_matchings, pair_index
+    from oddcross.tensor import orient_pair
+    from oddcross.verify import _layout
+
+    layout = _layout(n)
+    split_neg, triple_neg = 3 * layout.q, 3 * layout.r
+    width = layout.pair_count
+
+    def axis_mask(axis, pairs):
+        mask = 0
+        for x, (p, s) in enumerate(pairs):
+            bit = layout.triple_bit[p * n + axis]
+            mask |= 1 << bit if s > 0 else (1 << bit) | (1 << (bit + triple_neg))
+            for p2, s2 in pairs[x + 1 :]:
+                bit = layout.split_bit[p * width + p2]
+                mask |= 1 << bit if s == s2 else (1 << bit) | (1 << (bit + split_neg))
+        return mask
+
+    return tuple(
+        tuple(
+            axis_mask(
+                axis - 1,
+                [(pair_index(n, p), 1 if orient_pair(p, axis) == p else -1) for p in m],
+            )
+            for m in matchings
+        )
+        for axis, matchings in enumerate(_all_axis_matchings(n), 1)
+    )

@@ -176,6 +176,32 @@ class TestCommands:
             "a9f151d070269b776ed420c430f59338eb7165eb662ca71b387fbcb90d0b308b"
         )
 
+    def test_pinned_n9_verify(self, capsys):
+        # sha256 of the stdout of `verify` for fixed n=9 branches, taken
+        # before the verdict was stored on the tensor. X_AB is not
+        # identically zero at n=9, so each prints a witness and its X_AB and
+        # defect lines; the last branch is the affine plane AG(2,3), a
+        # closed scheme.
+        branches = [
+            (49, 90, 45, 26, 10, 38, 47, 89, 98),
+            (17, 51, 86, 14, 103, 19, 57, 76, 38),
+            (7, 1, 90, 88, 51, 7, 56, 85, 35),
+            (30, 68, 57, 99, 7, 41, 76, 15, 53),
+            (8, 14, 10, 74, 104, 86, 36, 66, 48),
+        ]
+        dim = oddcross.feasible_dimension(9)
+        digest = hashlib.sha256()
+        for branch in branches:
+            text = oddcross.emit_scheme_text(oddcross.branch_scheme(dim, branch))
+            code, out, _ = run(capsys, "verify", "--scheme", text)
+            assert code == 0
+            assert "xab_zero: false\nwitness: " in out
+            digest.update(out.encode("utf-8"))
+        assert "closed: true" in out
+        assert digest.hexdigest() == (
+            "82d6455c6f142896d98e88969a20a7696ee461f0c46d11659a7e1fadfadc70f7"
+        )
+
     def test_scheme_from_file(self, capsys, tmp_path):
         path = tmp_path / "s.txt"
         path.write_text("n=5\n1: 2-4 3-5\n2: 1-3 4-5\n3: 1-4 2-5\n4: 1-5 2-3\n5: 1-2 3-4\n")

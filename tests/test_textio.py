@@ -5,19 +5,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddcross import (
+    BadMatchingError,
     DuplicatePairError,
     EvenDimensionError,
     Matching,
+    MissingPairError,
     Pair,
     Scheme,
     SchemeSyntaxError,
     SchemeValidationError,
+    SelfPairError,
     branch_scheme,
     emit_scheme_text,
     enumerate_schemes,
     feasible_dimension,
     load_scheme,
     parse_scheme_text,
+    validate_scheme,
 )
 from oddcross.reference import reference_schemes
 
@@ -101,6 +105,135 @@ class TestParse:
 
     def test_comment_lines_ignored(self, scheme5_row3):
         assert parse_scheme_text("# comment\n" + ROW3_FULL) == scheme5_row3
+
+
+# One base scheme per n, and per case the token edits (axis, old, new;
+# None drops the token) that plant the fault, with the exact error type
+# and message that parsing gave before pairs were converted only once.
+# Token faults come first, in line order; then raw-shape faults (a pair of
+# equal members, an index below 1) on any axis; then the structural ones,
+# axis by axis; then a missing pair.
+CONTRACT_BASE = {
+    5: ROW3_FULL,
+    7: "n=7\n1: 2-4 3-7 5-6\n2: 1-4 3-5 6-7\n3: 1-7 2-5 4-6\n4: 1-2 3-6 5-7\n"
+    "5: 1-6 2-3 4-7\n6: 1-5 2-7 3-4\n7: 1-3 2-6 4-5",
+    9: "n=9\n1: 2-3 4-5 6-7 8-9\n2: 1-3 4-6 5-8 7-9\n3: 1-2 4-7 5-9 6-8\n"
+    "4: 1-5 2-6 3-9 7-8\n5: 1-4 2-7 3-8 6-9\n6: 1-7 2-8 3-5 4-9\n"
+    "7: 1-8 2-9 3-4 5-6\n8: 1-9 2-4 3-6 5-7\n9: 1-6 2-5 3-7 4-8",
+}
+EQUAL = (SchemeValidationError, "pair members must differ, got 3-3")
+ZERO = (SchemeValidationError, "indices are 1-based, got 0-2")
+SHARED = (BadMatchingError, "axis 1: index 2 appears in two pairs")
+NOT_A_NUMBER_LINE_4 = (SchemeSyntaxError, "bad pair token 'x-2' (line 4)")
+TWO_AXES = {
+    5: (DuplicatePairError, "pair 1-3 assigned to both axis 2 and axis 5"),
+    7: (DuplicatePairError, "pair 1-4 assigned to both axis 2 and axis 7"),
+    9: (DuplicatePairError, "pair 1-3 assigned to both axis 2 and axis 9"),
+}
+CONTRACT = {
+    # case: {n: (edits, (error, message) or None when it parses to the base)}
+    "reversed": {
+        5: ([(1, "3-5", "5-3")], None),
+        7: ([(2, "3-5", "5-3")], None),
+        9: ([(6, "3-5", "5-3")], None),
+    },
+    "equal-members": {
+        5: ([(1, "2-4", "3-3")], EQUAL),
+        7: ([(1, "2-4", "3-3")], EQUAL),
+        9: ([(1, "2-3", "3-3")], EQUAL),
+    },
+    "zero-index": {
+        5: ([(1, "2-4", "0-2")], ZERO),
+        7: ([(1, "2-4", "0-2")], ZERO),
+        9: ([(1, "2-3", "0-2")], ZERO),
+    },
+    "not-a-number": {
+        5: ([(1, "2-4", "x-2")], (SchemeSyntaxError, "bad pair token 'x-2' (line 2)")),
+        7: ([(1, "2-4", "x-2")], (SchemeSyntaxError, "bad pair token 'x-2' (line 2)")),
+        9: ([(1, "2-3", "x-2")], (SchemeSyntaxError, "bad pair token 'x-2' (line 2)")),
+    },
+    "own-axis": {
+        5: ([(1, "2-4", "1-2")], (SelfPairError, "axis 1 appears in its own pair 1-2")),
+        7: ([(1, "2-4", "1-2")], (SelfPairError, "axis 1 appears in its own pair 1-2")),
+        9: ([(1, "2-3", "1-2")], (SelfPairError, "axis 1 appears in its own pair 1-2")),
+    },
+    "shared-within-axis": {
+        5: ([(1, "3-5", "2-5")], SHARED),
+        7: ([(1, "3-7", "2-7")], SHARED),
+        9: ([(1, "4-5", "2-5")], SHARED),
+    },
+    "on-two-axes": {
+        5: ([(5, "1-2", "1-3")], TWO_AXES[5]),
+        7: ([(7, "1-3", "1-4")], TWO_AXES[7]),
+        9: ([(9, "1-6", "1-3")], TWO_AXES[9]),
+    },
+    "missing": {
+        5: ([(5, "3-4", None)], (MissingPairError, "pair 3-4 is not assigned to any axis")),
+        7: ([(7, "4-5", None)], (MissingPairError, "pair 4-5 is not assigned to any axis")),
+        9: ([(9, "4-8", None)], (MissingPairError, "pair 4-8 is not assigned to any axis")),
+    },
+    # A fault on axis 1 with one on a later axis.
+    "own-axis-then-equal-members": {
+        5: ([(1, "2-4", "1-2"), (3, "1-4", "3-3")], EQUAL),
+        7: ([(1, "2-4", "1-2"), (3, "1-7", "3-3")], EQUAL),
+        9: ([(1, "2-3", "1-2"), (3, "1-2", "3-3")], EQUAL),
+    },
+    "zero-index-then-on-two-axes": {
+        5: ([(1, "2-4", "0-2"), (5, "1-2", "1-3")], ZERO),
+        7: ([(1, "2-4", "0-2"), (7, "1-3", "1-4")], ZERO),
+        9: ([(1, "2-3", "0-2"), (9, "1-6", "1-3")], ZERO),
+    },
+    "shared-then-on-two-axes": {
+        5: ([(1, "3-5", "2-5"), (5, "1-2", "1-3")], SHARED),
+        7: ([(1, "3-7", "2-7"), (7, "1-3", "1-4")], SHARED),
+        9: ([(1, "4-5", "2-5"), (9, "1-6", "1-3")], SHARED),
+    },
+    "zero-index-then-not-a-number": {
+        5: ([(1, "2-4", "0-2"), (3, "1-4", "x-2")], NOT_A_NUMBER_LINE_4),
+        7: ([(1, "2-4", "0-2"), (3, "1-7", "x-2")], NOT_A_NUMBER_LINE_4),
+        9: ([(1, "2-3", "0-2"), (3, "1-2", "x-2")], NOT_A_NUMBER_LINE_4),
+    },
+}
+
+
+def edited(text, edits):
+    lines = text.split("\n")
+    for axis, old, new in edits:
+        tokens = lines[axis].split()
+        assert old in tokens
+        lines[axis] = " ".join(new if t == old else t for t in tokens if t != old or new)
+    return "\n".join(lines)
+
+
+class TestParseContract:
+    @pytest.mark.parametrize(
+        "n,case",
+        [(n, case) for case, by_n in CONTRACT.items() for n in by_n],
+        ids=[f"{case}-n{n}" for case, by_n in CONTRACT.items() for n in by_n],
+    )
+    def test_fault_and_message(self, n, case):
+        edits, expected = CONTRACT[case][n]
+        text = edited(CONTRACT_BASE[n], edits)
+        if expected is None:
+            scheme = parse_scheme_text(text)
+            assert emit_scheme_text(scheme) == CONTRACT_BASE[n] + "\n"
+            return
+        error, message = expected
+        with pytest.raises(error) as err:
+            parse_scheme_text(text)
+        assert type(err.value) is error
+        assert str(err.value) == message
+        if error in (DuplicatePairError, MissingPairError):
+            assert type(err.value.pair) is Pair
+
+    def test_pairs_are_exact(self):
+        # Each pair is converted once, to exact ints, and built as a Pair.
+        scheme = validate_scheme(3, [[(3, 2)], [(True, 3)], [(2, True)]])
+        assert scheme == parse_scheme_text("n=3\n1: 2-3\n2: 1-3\n3: 1-2")
+        for matching in scheme:
+            for pair in matching:
+                assert type(pair) is Pair
+                assert [type(x) for x in pair] == [int, int]
 
 
 class TestEmit:

@@ -6,7 +6,12 @@ from fractions import Fraction
 
 import pytest
 from conftest import random_branch
-from expansion_oracle import classify_product_table, decoded_witness, xab_dense
+from expansion_oracle import (
+    classify_product_table,
+    decoded_witness,
+    matching_masks_one_bit_at_a_time,
+    xab_dense,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,6 +40,7 @@ from oddcross.reference import reference_schemes
 from oddcross.verify import (
     _census_rows,
     _layout,
+    _matching_masks,
     _off_pattern,
     _verdict,
     classify_tensor,
@@ -202,6 +208,41 @@ class TestXabRoutes:
         with pytest.raises(SchemeTensorMismatchError, match="e1 x e2 to -e"):
             xab_pairs(flipped, (0, 1, 1, 0, 1), (1, 1, 0, 1, 0), scheme5_row3)
 
+    def test_pairs_checks_every_tensor_not_holding_the_slots(self, monkeypatch, scheme7_row2):
+        # Only a tensor holding the scheme's own slot tuples skips the
+        # agreement check: an equal copy is checked slot by slot, and the
+        # copy with one sign flipped is refused.
+        a, b = (1, -2, 0, 3, 1, 0, 2), (0, 1, 4, -1, 2, 1, 0)
+        shared = build_tensor(scheme7_row2)
+        copy = StructureTensor(scheme7_row2.dim, *map(list, scheme7_row2.slots))
+        assert copy == shared
+        checked = []
+        entries = StructureTensor.entries
+
+        def counted(self):
+            checked.append(self)
+            return entries(self)
+
+        monkeypatch.setattr(StructureTensor, "entries", counted)
+        expected = xab_direct(copy, a, b)
+        assert expected != 0
+        assert xab_pairs(copy, a, b, scheme7_row2) == xab_tensor(copy, a, b) == expected
+        assert checked == [copy]
+        assert xab_pairs(shared, a, b, scheme7_row2) == expected
+        assert checked == [copy]
+
+        target, sign = map(list, scheme7_row2.slots)
+        p = pair_index(7, (1, 2))
+        sign[p] = -sign[p]
+        flipped = StructureTensor(scheme7_row2.dim, target, sign)
+        with pytest.raises(SchemeTensorMismatchError, match="e1 x e2 to -e"):
+            xab_pairs(flipped, a, b, scheme7_row2)
+        # Sharing one of the two tuples is not enough.
+        half = StructureTensor.__new__(StructureTensor)
+        half.dim, half._target, half._sign = scheme7_row2.dim, scheme7_row2.slots[0], tuple(sign)
+        with pytest.raises(SchemeTensorMismatchError, match="e1 x e2 to -e"):
+            xab_pairs(half, a, b, scheme7_row2)
+
     def test_pairs_requires_matching_dimension(self, tensor5_row3, scheme7_row11):
         with pytest.raises(SchemeTensorMismatchError):
             xab_pairs(tensor5_row3, (0,) * 5, (0,) * 5, scheme7_row11)
@@ -261,6 +302,10 @@ class TestIdentityDecisions:
 
 class TestPluckerCriterion:
     """The mask classifier against the exact coefficient expansion."""
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    def test_matching_masks_match_one_bit_at_a_time(self, n):
+        assert _matching_masks(n) == matching_masks_one_bit_at_a_time(n)
 
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_census_matches_expansion_oracle(self, n):
