@@ -17,7 +17,7 @@ import time
 from .errors import OddCrossError
 from .reference import reproduce_tables
 from .schemes import (
-    _all_axis_matchings, _check_limit, axis_matchings, enumerate_schemes, feasible_dimension
+    _axis_choice_masks, _check_limit, axis_matchings, enumerate_schemes, feasible_dimension
 )
 from .tensor import build_tensor
 from .textio import emit_scheme_json, emit_scheme_text, load_scheme
@@ -101,7 +101,7 @@ def _cmd_matchings(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     dim = feasible_dimension(args.n)
-    _all_axis_matchings(args.n)  # refuses too many matchings before any output
+    _axis_choice_masks(args.n)  # refuses too many matchings before any output
     stream = enumerate_schemes(dim, limit=args.limit)
     with _open_output(args.output) as out:
         if args.format == "jsonl":
@@ -162,7 +162,7 @@ def _cmd_verify(args) -> int:
 def _cmd_census(args) -> int:
     start = time.perf_counter()
     dim = feasible_dimension(args.n)
-    _all_axis_matchings(args.n)  # refuses too many matchings before any output
+    _axis_choice_masks(args.n)  # refuses too many matchings before any output
     records = census(dim, limit=args.limit)
     with _open_output(args.output) as out:
         count = write_census_csv(records, out)

@@ -126,25 +126,39 @@ class Matching(tuple):
 
 
 @lru_cache(maxsize=None)
-def _axis_matchings(n: int, axis: int) -> Tuple[Matching, ...]:
-    members = tuple(i for i in range(1, n + 1) if i != axis)
+def _axis_masks(n: int, axis: int) -> Tuple[int, ...]:
+    """The axis's matchings as OR-ed ``1 << pair_index`` bits, in ``axis_matchings`` order."""
 
-    def pairings(items: Tuple[int, ...]) -> Iterator[Tuple[Pair, ...]]:
-        if not items:
-            yield ()
+    def masks(free: Tuple[int, ...]) -> Iterator[int]:
+        if not free:
+            yield 0
             return
-        first, rest = items[0], items[1:]
+        first, rest = free[0], free[1:]
         for pos, partner in enumerate(rest):
-            head = Pair(first, partner)
-            for tail in pairings(rest[:pos] + rest[pos + 1 :]):
-                yield (head,) + tail
+            bit = 1 << pair_index(n, (first, partner))
+            for tail in masks(rest[:pos] + rest[pos + 1 :]):
+                yield bit | tail
 
-    return tuple(Matching(pairs) for pairs in pairings(members))
+    return tuple(masks(tuple(i for i in range(1, n + 1) if i != axis)))
+
+
+def _slots(mask: int) -> Iterator[int]:
+    """The set bits of a mask, ascending: a matching's pair slots in pair order."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+
+
+@lru_cache(maxsize=None)
+def _axis_matchings(n: int, axis: int) -> Tuple[Matching, ...]:
+    """``_axis_masks`` decoded into ``Matching`` objects, for the API edges."""
+    pairs = [Pair(*p) for p in combinations(range(1, n + 1), 2)]
+    return tuple(Matching(map(pairs.__getitem__, _slots(m))) for m in _axis_masks(n, axis))
 
 
 # No call builds more matchings than this: the n * (n-2)!! of all axes of
-# n=13, about a 64 MB peak RSS (Python 3.11), or the (n-2)!! of one axis of
-# n=15. All axes of n=15 would be 2,027,025, and one axis of n=17 as many.
+# n=13 (127 MB peak RSS for a census, Python 3.11, mostly verdict masks) or
+# the (n-2)!! of one axis of n=15; all axes of n=15 or one of n=17 are 2,027,025.
 _MATCHING_BUDGET = 135_135
 
 
@@ -293,13 +307,11 @@ def validate_scheme(n: int, pair_lists: Sequence[Iterable]) -> Scheme:
 
 
 @lru_cache(maxsize=None)
-def _all_axis_matchings(n: int) -> Tuple[Tuple[Matching, ...], ...]:
-    """``axis_matchings`` of every axis of an odd n, indexed by axis - 1.
-
-    The one place that builds every axis's matchings, so the one place that
-    refuses, from their count and before building any, an n whose matchings
-    do not fit in memory (TooManyMatchingsError).
-    """
+def _axis_choice_masks(n: int) -> Tuple[Tuple[int, ...], ...]:
+    """``_axis_masks`` of every axis of an odd n, indexed by axis - 1: the
+    one n-wide table of matchings, so the one place that refuses, from their
+    count and before building any, an n whose matchings do not fit in memory
+    (TooManyMatchingsError)."""
     dim = feasible_dimension(n)
     count = n * dim.matchings_per_axis
     if count > _MATCHING_BUDGET:
@@ -307,15 +319,7 @@ def _all_axis_matchings(n: int) -> Tuple[Tuple[Matching, ...], ...]:
             f"n={n}: its axes have {count:,} matchings, too many to build "
             f"(the limit is {_MATCHING_BUDGET:,}, reached at n=13)"
         )
-    return tuple(axis_matchings(dim, axis) for axis in range(1, n + 1))
-
-
-@lru_cache(maxsize=None)
-def _axis_choice_masks(n: int) -> Tuple[Tuple[int, ...], ...]:
-    def mask(matching: Matching) -> int:
-        return sum(1 << pair_index(n, p) for p in matching)  # distinct bits: sum is OR
-
-    return tuple(tuple(map(mask, matchings)) for matchings in _all_axis_matchings(n))
+    return tuple(_axis_masks(n, axis) for axis in range(1, n + 1))
 
 
 def branch_scheme(dim: Dimension, branch: Sequence[int]) -> Scheme:
@@ -329,7 +333,7 @@ def branch_scheme(dim: Dimension, branch: Sequence[int]) -> Scheme:
         raise ChoiceRangeError(f"branch has {len(branch)} choices, need one per axis ({dim.n})")
     masks = _axis_choice_masks(dim.n)
     branch = [kernels._check_choice(masks, d, choice) for d, choice in enumerate(branch)]
-    return Scheme(map(getitem, _all_axis_matchings(dim.n), branch))
+    return Scheme(_axis_matchings(dim.n, d)[choice] for d, choice in enumerate(branch, 1))
 
 
 def _check_limit(limit: Optional[int]) -> Optional[int]:
@@ -361,12 +365,10 @@ def scheme_branches(
     with it, and ``limit`` (None or an int >= 1, else LimitError) stops it
     after that many. The walk is lazy, but its input is not: before the
     first branch, ``_axis_choice_masks`` builds every axis's (n-2)!!
-    matchings and their masks: 135k matchings over all axes at n=13 (about
-    1.3 s and a 59 MB peak RSS to the first three branches, Python 3.11 on
-    2 shared cores; the walk's candidate lists are about 3 MB and 20 ms of
-    that).
-    From n=15 on (2.0M at n=15, 34.5M at n=17) they are refused with
-    TooManyMatchingsError instead.
+    matchings as int masks, no ``Matching`` among them: 135k over all axes
+    at n=13, about 0.4 s and a 26 MB peak RSS to the first three branches
+    (Python 3.11 on 2 shared cores). From n=15 on (2.0M at n=15, 34.5M at
+    n=17) they are refused with TooManyMatchingsError instead.
     """
     limit = _check_limit(limit)
     covers = kernels.enumerate_covers(_axis_choice_masks(dim.n), prefix)
@@ -389,7 +391,8 @@ def enumerate_schemes(
     The kernel's branches are valid by construction (``enumerate_covers``),
     so each Scheme is built without the check that ``Scheme(...)`` runs.
     """
-    per_axis = _all_axis_matchings(dim.n)
+    _axis_choice_masks(dim.n)  # refuses too many matchings before any is built
+    per_axis = [_axis_matchings(dim.n, axis) for axis in range(1, dim.n + 1)]
     for branch in scheme_branches(dim, prefix=prefix, limit=limit):
         yield tuple.__new__(Scheme, map(getitem, per_axis, branch))
 

@@ -52,7 +52,7 @@ def emit_scheme_json(scheme_id: int, scheme: Scheme) -> str:
 
 def _parse_full(lines, expected_n: Optional[int]) -> Scheme:
     header = lines[0][1].strip()
-    if not header.startswith("n=") or not header[2:].isdigit():
+    if not header.startswith("n=") or not header[2:].isdecimal():
         raise SchemeSyntaxError(f"expected 'n=<odd>' header, got {header!r}", line=lines[0][0])
     n = int(header[2:])
     if expected_n is not None and n != expected_n:
@@ -63,7 +63,7 @@ def _parse_full(lines, expected_n: Optional[int]) -> Scheme:
     for lineno, line in lines[1:]:
         text = line.strip()
         axis_part, colon, rest = text.partition(":")
-        if not colon or not axis_part.strip().isdigit():
+        if not colon or not (axis_part := axis_part.strip()).isdecimal():
             raise SchemeSyntaxError(f"expected '<axis>: pairs', got {text!r}", line=lineno)
         axis = int(axis_part)
         if not 1 <= axis <= n:
@@ -74,10 +74,10 @@ def _parse_full(lines, expected_n: Optional[int]) -> Scheme:
         for token in rest.split():
             lo, dash, hi = token.partition("-")
             if dash:
-                if not (lo.isdigit() and hi.isdigit()):
+                if not (lo.isdecimal() and hi.isdecimal()):
                     raise SchemeSyntaxError(f"bad pair token {token!r}", line=lineno)
                 pairs.append((int(lo), int(hi)))
-            elif len(token) == 2 and token.isdigit():
+            elif len(token) == 2 and token.isdecimal():
                 pairs.append((int(token[0]), int(token[1])))
             else:
                 raise SchemeSyntaxError(
@@ -99,7 +99,7 @@ def _parse_compact(text: str, n: Optional[int]) -> Scheme:
             raise SchemeSyntaxError("empty axis group in compact scheme text")
         pairs = []
         for token in group.split():
-            if not (len(token) == 2 and token.isdigit()):
+            if not (len(token) == 2 and token.isdecimal()):
                 raise SchemeSyntaxError(
                     f"bad compact token {token!r} (two digits, so n <= 9)"
                 )

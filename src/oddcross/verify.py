@@ -30,7 +30,7 @@ from operator import mul
 from typing import Iterator, NamedTuple, Optional, TextIO, Tuple
 
 from .errors import DimensionMismatchError, SchemeTensorMismatchError
-from .schemes import Dimension, Scheme, _all_axis_matchings, pair_index, scheme_branches
+from .schemes import Dimension, Scheme, _axis_choice_masks, _slots, scheme_branches
 from .tensor import StructureTensor, Vector, dot, orient_pair
 
 CENSUS_CSV_HEADER = ("scheme_id", "closed", "orthogonality_zero", "xab_zero", "witness")
@@ -256,18 +256,19 @@ def _matching_masks(n: int):
     """Per axis (0-based), per matching index: the verdict mask under the
     canonical orientation of ``orient_pair``. An n whose matchings are too
     many is refused before the layout is built."""
-    per_axis = _all_axis_matchings(n)
+    choice_masks = _axis_choice_masks(n)
     layout = _layout(n)
+    pairs = list(combinations(range(n), 2))  # slot order is pair_index order
     return tuple(
         tuple(
             _pairs_mask(
                 layout,
-                # The sign of e_lo x e_hi: +1 when orient_pair keeps (lo, hi).
-                [(pair_index(n, p), axis - 1, 1 if orient_pair(p, axis) == p else -1) for p in m],
+                # 0-based: e_i x e_j = -e_k exactly when i < k < j (``orient_pair``).
+                [(p, k, -1 if pairs[p][0] < k < pairs[p][1] else 1) for p in _slots(m)],
             )
-            for m in matchings
+            for m in masks
         )
-        for axis, matchings in enumerate(per_axis, 1)
+        for k, masks in enumerate(choice_masks)
     )
 
 

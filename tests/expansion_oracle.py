@@ -156,10 +156,11 @@ def matching_masks_one_bit_at_a_time(n):
     bit it makes with each later pair of the matching, each OR-ed in on
     its own, with the sign bit OR-ed in after it for a negative sign or
     two unequal signs."""
-    from oddcross.schemes import _all_axis_matchings, pair_index
+    from oddcross.schemes import axis_matchings, feasible_dimension, pair_index
     from oddcross.tensor import orient_pair
     from oddcross.verify import _layout
 
+    dim = feasible_dimension(n)
     layout = _layout(n)
     split_neg, triple_neg = 3 * layout.q, 3 * layout.r
     width = layout.pair_count
@@ -180,7 +181,7 @@ def matching_masks_one_bit_at_a_time(n):
                 axis - 1,
                 [(pair_index(n, p), 1 if orient_pair(p, axis) == p else -1) for p in m],
             )
-            for m in matchings
+            for m in axis_matchings(dim, axis)
         )
-        for axis, matchings in enumerate(_all_axis_matchings(n), 1)
+        for axis in range(1, n + 1)
     )

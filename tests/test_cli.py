@@ -260,7 +260,7 @@ class TestErrors:
         def refuse(n, axis):
             raise AssertionError(f"built the matchings of n={n}")
 
-        monkeypatch.setattr(oddcross.schemes, "_axis_matchings", refuse)
+        monkeypatch.setattr(oddcross.schemes, "_axis_masks", refuse)
         target = tmp_path / "out"
         code, out, err = run(capsys, command, "-n", "15", "-o", str(target))
         assert code == 1
@@ -274,7 +274,7 @@ class TestErrors:
         def refuse(n, axis):
             raise AssertionError(f"built the matchings of n={n}")
 
-        monkeypatch.setattr(oddcross.schemes, "_axis_matchings", refuse)
+        monkeypatch.setattr(oddcross.schemes, "_axis_masks", refuse)
         assert run(capsys, "matchings", "-n", "17", "--axis", "1") == (
             1,
             "",
@@ -301,6 +301,24 @@ class TestErrors:
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: no file {path!r}, and not scheme text:")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["²3 / 13 / 12", "n=3\n1: 2-³\n2: 1-3\n3: 1-2", "n=²\n1: 2-3\n2: 1-3\n3: 1-2"],
+        ids=["compact", "pair", "header"],
+    )
+    def test_superscript_digits(self, text):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(oddcross.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "oddcross.cli", "verify", "--scheme", text],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
     def test_non_utf8_scheme_file(self, capsys, tmp_path):
         path = tmp_path / "s.txt"

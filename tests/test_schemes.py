@@ -6,6 +6,7 @@ import random
 import pytest
 
 import oddcross.schemes
+import oddcross.verify
 from oddcross import (
     BadMatchingError,
     ChoiceRangeError,
@@ -33,7 +34,9 @@ from oddcross import (
     make_pair,
     validate_scheme,
 )
-from oddcross.schemes import scheme_branches
+from oddcross.schemes import _axis_choice_masks, scheme_branches
+
+import matchings_oracle
 
 
 def as_pair_lists(scheme):
@@ -114,6 +117,16 @@ class TestAxisMatchings:
             for m in axis_matchings(dim7, axis):
                 members = sorted(i for p in m for i in p)
                 assert members == [i for i in range(1, 8) if i != axis]
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
+    def test_matchings_and_masks_match_the_oracle(self, n):
+        dim = feasible_dimension(n)
+        assert _axis_choice_masks(n) == matchings_oracle.choice_masks(n)
+        for axis in range(1, n + 1):
+            matchings = axis_matchings(dim, axis)
+            assert matchings == matchings_oracle.axis_matchings(n, axis)
+            assert {type(m) for m in matchings} == {Matching}
+            assert {type(p) for m in matchings for p in m} == {Pair}
 
     def test_axis_out_of_range(self, dim5):
         with pytest.raises(IndexError):
@@ -404,18 +417,18 @@ class TestMatchingBudget:
 
     @pytest.mark.parametrize("n,count", [(15, "2,027,025"), (17, "34,459,425"), (101, "")])
     def test_enumerate_refuses(self, monkeypatch, n, count):
-        monkeypatch.setattr(oddcross.schemes, "_axis_matchings", refuse_to_build)
+        monkeypatch.setattr(oddcross.schemes, "_axis_masks", refuse_to_build)
         with pytest.raises(TooManyMatchingsError, match=f"n={n}: its axes have {count}"):
             next(enumerate_schemes(feasible_dimension(n)))
 
     def test_census_refuses(self, monkeypatch):
-        monkeypatch.setattr(oddcross.schemes, "_axis_matchings", refuse_to_build)
+        monkeypatch.setattr(oddcross.schemes, "_axis_masks", refuse_to_build)
         with pytest.raises(TooManyMatchingsError, match="2,027,025 matchings"):
             next(census(feasible_dimension(15)))
 
     @pytest.mark.parametrize("n,count", [(17, "2,027,025"), (19, "34,459,425"), (101, "")])
     def test_one_axis_refuses(self, monkeypatch, n, count):
-        monkeypatch.setattr(oddcross.schemes, "_axis_matchings", refuse_to_build)
+        monkeypatch.setattr(oddcross.schemes, "_axis_masks", refuse_to_build)
         with pytest.raises(TooManyMatchingsError, match=f"n={n}: axis 2 has {count}"):
             axis_matchings(feasible_dimension(n), 2)
 
@@ -429,11 +442,26 @@ class TestMatchingBudget:
             built.append((n, axis))
             return ()
 
-        monkeypatch.setattr(oddcross.schemes, "_axis_matchings", record)
-        # The uncached function, so the stub's result is not kept for n=13.
-        assert oddcross.schemes._all_axis_matchings.__wrapped__(13) == ((),) * 13
+        monkeypatch.setattr(oddcross.schemes, "_axis_masks", record)
+        # The uncached functions, so the stub's results are not kept.
+        monkeypatch.setattr(
+            oddcross.schemes, "_axis_matchings", oddcross.schemes._axis_matchings.__wrapped__
+        )
+        assert oddcross.schemes._axis_choice_masks.__wrapped__(13) == ((),) * 13
         assert axis_matchings(feasible_dimension(15), 1) == ()
         assert built == [(13, axis) for axis in range(1, 14)] + [(15, 1)]
+
+
+class TestObjectsOnlyAtTheEdges:
+    def test_census_and_branches_build_no_matching(self, monkeypatch):
+        # From empty caches, with the Matching table refused.
+        for module in (oddcross.schemes, oddcross.verify):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+        monkeypatch.setattr(oddcross.schemes, "_axis_matchings", refuse_to_build)
+        assert sum(1 for _ in census(feasible_dimension(7))) == 6240
+        assert len(list(scheme_branches(feasible_dimension(9), limit=1000))) == 1000
 
 
 class TestClosure:

@@ -108,8 +108,9 @@ class TestParse:
 
 
 # One base scheme per n, and per case the token edits (axis, old, new;
-# None drops the token) that plant the fault, with the exact error type
-# and message that parsing gave before pairs were converted only once.
+# None drops the token; axis 0 is the header line) that plant the fault,
+# with the exact error type and message that parsing gave before pairs
+# were converted only once.
 # Token faults come first, in line order; then raw-shape faults (a pair of
 # equal members, an index below 1) on any axis; then the structural ones,
 # axis by axis; then a missing pair.
@@ -124,6 +125,11 @@ CONTRACT_BASE = {
 EQUAL = (SchemeValidationError, "pair members must differ, got 3-3")
 ZERO = (SchemeValidationError, "indices are 1-based, got 0-2")
 SHARED = (BadMatchingError, "axis 1: index 2 appears in two pairs")
+SUPERSCRIPT_HEADER = (SchemeSyntaxError, "expected 'n=<odd>' header, got 'n=²' (line 1)")
+SUPERSCRIPT_CODE = (
+    SchemeSyntaxError,
+    "bad pair token '²4' (want 'lo-hi' or a two-digit code) (line 2)",
+)
 NOT_A_NUMBER_LINE_4 = (SchemeSyntaxError, "bad pair token 'x-2' (line 4)")
 TWO_AXES = {
     5: (DuplicatePairError, "pair 1-3 assigned to both axis 2 and axis 5"),
@@ -187,6 +193,28 @@ CONTRACT = {
         5: ([(1, "3-5", "2-5"), (5, "1-2", "1-3")], SHARED),
         7: ([(1, "3-7", "2-7"), (7, "1-3", "1-4")], SHARED),
         9: ([(1, "4-5", "2-5"), (9, "1-6", "1-3")], SHARED),
+    },
+    # Superscript digits pass str.isdigit but not int(), and "\x1f" is
+    # whitespace to str.strip but not to int().
+    "superscript-header": {
+        5: ([(0, "n=5", "n=²")], SUPERSCRIPT_HEADER),
+        7: ([(0, "n=7", "n=²")], SUPERSCRIPT_HEADER),
+        9: ([(0, "n=9", "n=²")], SUPERSCRIPT_HEADER),
+    },
+    "separator-after-axis": {
+        5: ([(1, "1:", "1\x1f:")], None),
+        7: ([(1, "1:", "1\x1f:")], None),
+        9: ([(1, "1:", "1\x1f:")], None),
+    },
+    "superscript-in-pair": {
+        5: ([(1, "2-4", "2-³")], (SchemeSyntaxError, "bad pair token '2-³' (line 2)")),
+        7: ([(1, "2-4", "2-³")], (SchemeSyntaxError, "bad pair token '2-³' (line 2)")),
+        9: ([(1, "2-3", "2-³")], (SchemeSyntaxError, "bad pair token '2-³' (line 2)")),
+    },
+    "superscript-code": {
+        5: ([(1, "2-4", "²4")], SUPERSCRIPT_CODE),
+        7: ([(1, "2-4", "²4")], SUPERSCRIPT_CODE),
+        9: ([(1, "2-3", "²4")], SUPERSCRIPT_CODE),
     },
     "zero-index-then-not-a-number": {
         5: ([(1, "2-4", "0-2"), (3, "1-4", "x-2")], NOT_A_NUMBER_LINE_4),

@@ -303,7 +303,7 @@ class TestIdentityDecisions:
 class TestPluckerCriterion:
     """The mask classifier against the exact coefficient expansion."""
 
-    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    @pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
     def test_matching_masks_match_one_bit_at_a_time(self, n):
         assert _matching_masks(n) == matching_masks_one_bit_at_a_time(n)
 
