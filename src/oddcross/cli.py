@@ -22,7 +22,8 @@ from .schemes import (
 from .tensor import build_tensor
 from .textio import emit_scheme_json, emit_scheme_text, load_scheme
 from .verify import (
-    census, defect_report, format_witness, tensor_verdict, write_census_csv, xab_direct
+    _layout, _matching_masks, census, defect_report, format_witness, tensor_verdict,
+    write_census_csv, xab_direct,
 )
 
 
@@ -162,14 +163,20 @@ def _cmd_verify(args) -> int:
 def _cmd_census(args) -> int:
     start = time.perf_counter()
     dim = feasible_dimension(args.n)
-    _axis_choice_masks(args.n)  # refuses too many matchings before any output
+    # Set-up: the matchings, refused before any output when too many, their
+    # verdict masks and the mask layout; the rows reuse all three.
+    _matching_masks(args.n)
+    _layout(args.n)
+    rows_start = time.perf_counter()
     records = census(dim, limit=args.limit)
     with _open_output(args.output) as out:
         count = write_census_csv(records, out)
-    elapsed = time.perf_counter() - start
+    end = time.perf_counter()
+    elapsed = end - start
     print(
-        f"census: {count} schemes classified (n={args.n}) "
-        f"in {elapsed:.2f} s ({count / elapsed:,.0f} schemes/s)",
+        f"census: {count} schemes classified (n={args.n}) in {elapsed:.2f} s "
+        f"(set-up {rows_start - start:.2f} s, rows {end - rows_start:.2f} s; "
+        f"{count / elapsed:,.0f} schemes/s)",
         file=sys.stderr,
     )
     return 0

@@ -1,11 +1,19 @@
 """The exact-cover enumeration kernel.
 
 ``enumerate_covers`` is the depth-first search behind
-``schemes.scheme_branches``: a recursive walk over the axes that descends,
-at each axis, into the candidate matchings disjoint from the choices above
-it, in order, except on the last two axes, whose picks the choices above
-determine and which it looks up. It works on plain integers and tuples,
-one bitmask over unordered-pair slots per candidate matching.
+``schemes.scheme_branches`` and ``verify.census``: a recursive walk over
+the axes that descends, at each axis, into the candidate matchings
+disjoint from the choices above it, in order, except on the last two axes,
+whose picks the choices above determine and which it looks up. It works on
+plain integers and tuples, one bitmask over unordered-pair slots per
+candidate matching.
+
+Each candidate also has a label, and a cover is yielded as the sum of its
+picks' labels, built up as the walk descends. With the 1-tuple ``(c,)``
+as the label of candidate c, the default, the sum is the tuple of picked
+indices, the branch ``scheme_branches`` streams. With each matching's
+verdict mask as its label, the sum is the scheme's whole verdict mask,
+which ``verify.census`` classifies without ever seeing the branch.
 
 The walk checks forward (Haralick & Elliott, *Artif. Intell.* 14 (1980)
 263-313). A node does not rescan every candidate of an axis; it carries,
@@ -17,7 +25,8 @@ no completion exists below it. Identity classification is decided in
 """
 
 import sys
-from operator import index
+from functools import lru_cache
+from operator import getitem, index
 
 from .errors import ChoiceRangeError
 
@@ -48,13 +57,23 @@ def _check_choice(axis_masks, d, choice):
     return choice
 
 
-def enumerate_covers(axis_masks, prefix=()):
+@lru_cache(maxsize=None)
+def _index_labels(size):
+    """The labels ``(c,)`` of candidates 0..size-1: summed along a branch,
+    the tuple of its picks. One table per size, shared by all its axes."""
+    return tuple((c,) for c in range(size))
+
+
+def enumerate_covers(axis_masks, prefix=(), labels=None):
     """Yield exact covers in depth-first lexicographic order.
 
     ``axis_masks[d]`` lists, for axis d, the candidate matchings encoded as
     bitmasks over unordered-pair slots. A branch picks one candidate per
-    axis such that all masks are disjoint; branches are yielded as tuples
-    of candidate indices.
+    axis such that all masks are disjoint. ``labels[d][c]`` is the label of
+    candidate c of axis d, and each branch is yielded as the sum of its
+    picks' labels in axis order, starting from the labels' empty value
+    ``type(label)()``. By default the label of c is ``(c,)``, so a branch
+    is yielded as the tuple of its candidate indices.
 
     ``prefix`` pins the first choices, so the walk starts at axis
     ``len(prefix)`` and yields exactly the branches that begin with it.
@@ -77,11 +96,11 @@ def enumerate_covers(axis_masks, prefix=()):
     ``rest = full ^ used``. Hence ``m1`` is a penultimate candidate inside
     ``rest`` and ``m2 == rest ^ m1`` is a last-axis candidate. Conversely
     every such pair is disjoint from ``used`` and from each other, so it
-    completes the branch. ``_Tails`` lists these pairs in ``(c1, c2)``
-    order, the order of the plain scan, and memoises them per ``rest``
-    for the length of one call. For the same reason a prefix of length
-    n-1 has one completion at most: a last pick disjoint from ``used`` has
-    as many bits as ``rest``, so it is ``rest``.
+    completes the branch. ``_Tails`` lists the label sums of these pairs
+    in ``(c1, c2)`` order, the order of the plain scan, and memoises them
+    per ``rest`` for the length of one call. For the same reason a prefix
+    of length n-1 has one completion at most: a last pick disjoint from
+    ``used`` has as many bits as ``rest``, so it is ``rest``.
 
     The axes before those two, down to axis n-3, are walked with forward
     checking. Invariant: a node at axis d whose picks use ``used`` holds,
@@ -95,50 +114,68 @@ def enumerate_covers(axis_masks, prefix=()):
     the scan's. A child with an empty list has no cover below it, since
     every cover below it needs a pick on that axis disjoint from its
     picks; pruning it loses no branch. The last walked axis, n-3, goes
-    straight from each listed candidate to ``_Tails``.
+    straight from each listed candidate to ``_Tails``, and adds that
+    candidate's label once for all the tails below it.
+
+    Sum equals OR for the census labels, the verdict masks of
+    ``verify._matching_masks``. Ints whose set bits are pairwise disjoint
+    add without a carry, so their sum is their OR, and the n masks of one
+    cover are pairwise disjoint. A split bit and its sign bit are set by
+    an axis's mask only when both pairs of the split sit on that axis;
+    each pair sits on exactly one axis of a cover, so at most one axis
+    covers a split and sets those bits. A triple role bit and its sign bit
+    stand for one pair sitting on one axis, and only that axis's mask sets
+    them, when the pair is one of its pairs, so each role is set by one
+    axis at most.
     """
     n_axes = len(axis_masks)
     if len(prefix) > n_axes:
         raise ChoiceRangeError("prefix longer than the number of axes")
     prefix = tuple(_check_choice(axis_masks, d, choice) for d, choice in enumerate(prefix))
+    if not all(axis_masks):
+        return  # an axis without candidates: no cover, and no label to sum
     used = 0
     for d, choice in enumerate(prefix):
         mask = axis_masks[d][choice]
         if mask & used:
             return
         used |= mask
+    if labels is None:
+        labels = [_index_labels(len(masks)) for masks in axis_masks]
+    branch = sum(map(getitem, labels, prefix), type(labels[0][0])())
 
-    tails = _Tails(axis_masks)
+    tails = _Tails(axis_masks, labels)
     rest = tails.full ^ used
     depth = len(prefix)
     if depth == n_axes:
-        yield prefix
+        yield branch
     elif depth == n_axes - 1:
         last = tails.last_index.get(rest)
         if last is not None:
-            yield prefix + (last,)
+            yield branch + labels[-1][last]
     elif depth == n_axes - 2:
         for tail in tails[rest]:
-            yield prefix + tail
+            yield branch + tail
     else:
         lists = [
             [c for c, mask in enumerate(masks) if not mask & used] if used else range(len(masks))
             for masks in axis_masks[depth:-2]
         ]
         if all(lists):
-            yield from _walk(axis_masks, depth, prefix, rest, lists, tails)
+            yield from _walk(axis_masks, labels, depth, branch, rest, lists, tails)
 
 
-def _walk(axis_masks, d, branch, rest, lists, tails):
+def _walk(axis_masks, labels, d, branch, rest, lists, tails):
     # ``lists`` holds the free candidates of axes d..n-3, ``rest`` the bits
-    # no pick uses yet. Module-level, not a closure: a recursive closure is
-    # a reference cycle that would keep the memo and the lists alive until
-    # the cyclic GC runs.
-    masks = axis_masks[d]
+    # no pick uses yet and ``branch`` the label sum of the picks. Module-level,
+    # not a closure: a recursive closure is a reference cycle that would keep
+    # the memo and the lists alive until the cyclic GC runs.
+    masks, label = axis_masks[d], labels[d]
     if len(lists) == 1:
         for c in lists[0]:
+            head = branch + label[c]
             for tail in tails[rest ^ masks[c]]:
-                yield branch + (c,) + tail
+                yield head + tail
         return
     later = list(zip(axis_masks[d + 1 :], lists[1:]))
     for c in lists[0]:
@@ -150,16 +187,20 @@ def _walk(axis_masks, d, branch, rest, lists, tails):
                 break
             child.append(kept)
         else:
-            yield from _walk(axis_masks, d + 1, branch + (c,), rest ^ mask, child, tails)
+            yield from _walk(
+                axis_masks, labels, d + 1, branch + label[c], rest ^ mask, child, tails
+            )
 
 
 class _Tails(dict):
-    """Per call: ``rest`` -> the picks ``(c1, c2)`` of the last two axes covering it."""
+    """Per call: ``rest`` -> the label sums of the picks ``(c1, c2)`` of the
+    last two axes covering it."""
 
-    def __init__(self, axis_masks):
+    def __init__(self, axis_masks, labels):
         super().__init__()
         self.penultimate = axis_masks[-2]
         self.last_index = {mask: c for c, mask in enumerate(axis_masks[-1])}
+        self.labels = labels[-2], labels[-1]
         self.full = 0
         for masks in axis_masks:
             for mask in masks:
@@ -167,8 +208,9 @@ class _Tails(dict):
 
     def __missing__(self, rest):
         last_index = self.last_index
+        labels1, labels2 = self.labels
         found = self[rest] = tuple(
-            (c1, last_index[rest ^ mask])
+            labels1[c1] + labels2[last_index[rest ^ mask]]
             for c1, mask in enumerate(self.penultimate)
             if mask & rest == mask and rest ^ mask in last_index
         )

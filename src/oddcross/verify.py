@@ -16,21 +16,22 @@ exactly, never by sampling, in one verdict pass: each axis contributes
 one int mask of split and triple planes, and one pattern test on the OR
 of those masks decides X_AB (the Plücker criterion on 4-subsets) and
 orthogonality (total antisymmetry on triples), both proved in
-``_off_pattern``. ``tensor_verdict`` gives a tensor's verdict and
-``census`` every scheme's; a nonzero X_AB verdict always comes with a
-constructed 0/1 witness pair.
+``_verdict``. ``tensor_verdict`` gives a tensor's verdict and ``census``
+every scheme's; a nonzero X_AB verdict always comes with a constructed
+0/1 witness pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, count, product, starmap
+from itertools import combinations, count, islice, product, repeat, starmap
 from operator import mul
 from typing import Iterator, NamedTuple, Optional, TextIO, Tuple
 
 from .errors import DimensionMismatchError, SchemeTensorMismatchError
-from .schemes import Dimension, Scheme, _axis_choice_masks, _slots, scheme_branches
+from .kernels import enumerate_covers
+from .schemes import Dimension, Scheme, _axis_choice_masks, _check_limit, _slots
 from .tensor import StructureTensor, Vector, dot, orient_pair
 
 CENSUS_CSV_HEADER = ("scheme_id", "closed", "orthogonality_zero", "xab_zero", "witness")
@@ -166,7 +167,7 @@ class _Layout(NamedTuple):
 
     ``mask >> t & spread`` is the split pattern of 4-subset t: its six
     plane bits, at bits 0, q, ..., 5q. ``first_probe`` maps each breaking
-    pattern to the index of the witness probe ``_witness`` takes for it.
+    pattern to the index of the witness probe ``_verdict`` takes for it.
     At n=3 (q=0) there is no 4-subset and neither is read.
     """
 
@@ -179,6 +180,8 @@ class _Layout(NamedTuple):
     probes: tuple  # per 4-subset: the three 0/1 probe pairs (A, B) of the witness
     spread: int  # bit 0 of each of the six split planes
     first_probe: dict  # breaking split pattern -> index (0, 1, 2) of its first nonzero probe
+    split_full: int  # (1 << q) - 1, one split plane
+    triple_full: int  # (1 << r) - 1, one triple plane
 
 
 @lru_cache(maxsize=None)
@@ -228,7 +231,10 @@ def _layout(n: int) -> _Layout:
                 if kp < 0:
                     pattern |= 1 << (3 + plane) * q
             first_probe[pattern] = next(i for i, v in enumerate(values) if v)
-    return _Layout(n, q, r, pair_count, split_bit, triple_bit, probes, spread, first_probe)
+    return _Layout(
+        n, q, r, pair_count, split_bit, triple_bit, probes, spread, first_probe,
+        (1 << q) - 1, (1 << r) - 1,
+    )
 
 
 def _pairs_mask(layout: _Layout, pairs) -> int:
@@ -279,16 +285,20 @@ def _tensor_mask(tensor: StructureTensor) -> Tuple[_Layout, int]:
     return layout, _pairs_mask(layout, zip(count(), *tensor.slots))
 
 
-def _off_pattern(group: int, w: int) -> Tuple[int, int]:
-    """(uneven, off) of the three presence and three sign planes of a group.
+def _verdict(layout: _Layout, mask: int):
+    """(closed, orthogonality_zero, xab_zero, witness) of a verdict mask: a
+    tensor's ``_tensor_mask``, or a scheme's OR of its axis masks, which
+    the census walk sums. The witness is None when X_AB is identically zero.
+    ``tensor_verdict`` and ``census`` both take their verdicts here.
 
-    ``group`` holds, from bit 0 up, presence planes p0, p1, p2 and sign
-    planes s0, s1, s2 of ``w`` bits each (higher bits are ignored); a sign
+    The mask holds two groups of three presence planes p0, p1, p2 and three
+    sign planes s0, s1, s2: the splits, with planes of ``q`` bits from bit
+    0, and the triple roles, with planes of ``r`` bits from bit 6q. A sign
     bit is set only where its presence bit is. Read k = 0 where p is clear,
-    -1 where s is set and +1 otherwise. Bit t of ``uneven`` is set when the
-    three planes' presence differs at t; bit t of ``off`` when
-    (k0, k1, k2) at t is neither all 0 nor +-(1, -1, 1). With all three
-    present, that pattern is s0 = s2 and s1 = not s0, so
+    -1 where s is set and +1 otherwise. In a group, bit t of ``uneven`` is
+    set when the three planes' presence differs at t, and bit t of ``off``
+    when (k0, k1, k2) at t is neither all 0 nor +-(1, -1, 1). With all
+    three present, that pattern is s0 = s2 and s1 = not s0, so
 
         off = (p0^p1) | (p0^p2) | (s0^s2) | (s1 ^ (p0 & ~s0)).
 
@@ -340,36 +350,37 @@ def _off_pattern(group: int, w: int) -> Tuple[int, int]:
     Under the canonical orientation e_lo x e_hi = -e_k exactly when
     lo < k < hi, so every present triple has role signs (1, -1, 1) and
     orthogonality_zero equals closed.
-    """
-    full = (1 << w) - 1
-    p0, p1, p2 = group & full, group >> w & full, group >> 2 * w & full
-    s0, s1, s2 = group >> 3 * w & full, group >> 4 * w & full, group >> 5 * w & full
-    uneven = (p0 ^ p1) | (p0 ^ p2)
-    return uneven, uneven | (s0 ^ s2) | (s1 ^ (p0 & ~s0))
 
-
-def _witness(layout: _Layout, mask: int, off: int):
-    """A 0/1 vector pair with X_AB != 0, read off the lowest bit t of the
-    split planes' ``off``: one table lookup on the split pattern of t.
-
-    On vectors supported on the 4-subset {a,b,c,d} of that bit only its own
-    three splits contribute, and the probes give, in this order,
+    Witness. A 0/1 vector pair with X_AB != 0 is read off the lowest bit t
+    of the split planes' ``off``, by one table lookup on the split pattern
+    of t. On vectors supported on the 4-subset {a,b,c,d} of that bit only
+    its own three splits contribute, and the probes give, in this order,
     (e_a+e_c, e_b+e_d): 2(k0-k2); (e_a+e_b, e_c+e_d): 2(k1+k2);
     (e_a+e_d, e_b+e_c): -2(k0+k1). All three vanish only for
     (k0, k1, k2) = (k, -k, k), which is not a breaking 4-subset, so every
-    pattern that reaches here has an entry in ``first_probe``.
+    pattern that reaches the lookup has an entry in ``first_probe``.
     """
-    t = (off & -off).bit_length() - 1
-    return layout.probes[t][layout.first_probe[mask >> t & layout.spread]]
-
-
-def _verdict(layout: _Layout, mask: int):
-    """(closed, orthogonality_zero, xab_zero, witness) from a scheme's OR-ed
-    axis masks. The witness is None when X_AB is identically zero."""
-    xab_off = _off_pattern(mask, layout.q)[1]
-    uneven, triple_off = _off_pattern(mask >> 6 * layout.q, layout.r)
-    witness = _witness(layout, mask, xab_off) if xab_off else None
-    return not uneven, not triple_off, not xab_off, witness
+    # ``off`` above, per group: plane i of the splits is mask >> i*q & fq and
+    # plane i of the triples mask >> 6q + i*r & fr (``>>`` binds before
+    # ``&``, ``&`` before ``^`` and ``|``). ``off`` contains ``uneven``, so
+    # the triple signs are read only when the triples are even.
+    q, r, fq, fr = layout.q, layout.r, layout.split_full, layout.triple_full
+    w = 6 * q
+    p0, s0 = mask & fq, mask >> 3 * q & fq
+    xab_off = (
+        (p0 ^ mask >> q & fq)
+        | (p0 ^ mask >> 2 * q & fq)
+        | (s0 ^ mask >> 5 * q & fq)
+        | (mask >> 4 * q & fq ^ (p0 & ~s0))
+    )
+    p0, s0 = mask >> w & fr, mask >> w + 3 * r & fr
+    uneven = (p0 ^ mask >> w + r & fr) | (p0 ^ mask >> w + 2 * r & fr)
+    triple_off = uneven or (s0 ^ mask >> w + 5 * r & fr) | (mask >> w + 4 * r & fr ^ (p0 & ~s0))
+    if not xab_off:
+        return not uneven, not triple_off, True, None
+    t = (xab_off & -xab_off).bit_length() - 1
+    witness = layout.probes[t][layout.first_probe[mask >> t & layout.spread]]
+    return not uneven, not triple_off, False, witness
 
 
 def tensor_verdict(
@@ -384,7 +395,7 @@ def tensor_verdict(
     never decided by sampling, because small integer probes of genuinely
     nonzero schemes frequently evaluate to zero. ``witness``: a 0/1 vector
     pair with X_AB != 0, or None when ``xab_zero``. Proofs in
-    ``_off_pattern`` and ``_witness``.
+    ``_verdict``.
     """
     return _verdict(*_tensor_mask(tensor))
 
@@ -448,18 +459,6 @@ class CensusRecord(NamedTuple):
     witness: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None
 
 
-def _census_rows(n: int, branches):
-    """The verdict of each branch tuple, straight from the per-matching
-    masks: no Scheme or StructureTensor is built."""
-    masks = _matching_masks(n)  # first, to refuse too many matchings
-    layout = _layout(n)
-    for branch in branches:
-        mask = 0
-        for axis_masks, choice in zip(masks, branch):
-            mask |= axis_masks[choice]
-        yield _verdict(layout, mask)
-
-
 def census(
     dim: Dimension,
     *,
@@ -468,11 +467,19 @@ def census(
     """Classify every scheme of the dimension, in enumeration order.
 
     Each record carries the scheme's verdict under the canonical
-    orientation (see ``tensor_verdict``).
+    orientation (see ``tensor_verdict``). No Scheme, StructureTensor or
+    branch tuple is built: the exact-cover walk labels each matching with
+    its verdict mask and yields each scheme's sum of them, which is the OR
+    of its axis masks (``_matching_masks``), and ``_verdict`` reads that.
     """
-    rows = _census_rows(dim.n, scheme_branches(dim, limit=limit))
-    for scheme_id, verdict in enumerate(rows, 1):
-        yield CensusRecord(scheme_id, *verdict)
+    limit = _check_limit(limit)
+    labels = _matching_masks(dim.n)  # first, to refuse too many matchings
+    layout = _layout(dim.n)
+    masks = enumerate_covers(_axis_choice_masks(dim.n), labels=labels)
+    verdicts = map(_verdict, repeat(layout), islice(masks, limit))
+    for scheme_id, verdict in enumerate(verdicts, 1):
+        # tuple.__new__ skips the NamedTuple's Python-level __new__.
+        yield tuple.__new__(CensusRecord, (scheme_id,) + verdict)
 
 
 def format_witness(witness) -> str:

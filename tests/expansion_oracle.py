@@ -12,9 +12,14 @@ n^4 index 4-tuples, the oracle for the sparse ``verify.xab_tensor``.
 Both read the product through ``StructureTensor.lookup`` only, so they do
 not depend on how the tensor stores it.
 
-``decoded_witness`` is the oracle for ``verify._witness``'s table lookup:
-it decodes the split coefficients of the breaking 4-subset bit by bit and
-tries the three probes in order.
+``decoded_witness`` is the oracle for the witness table lookup of
+``verify._verdict``: it decodes the split coefficients of the breaking
+4-subset bit by bit and tries the three probes in order.
+
+``verdict_two_tests`` is the oracle for the one inlined body of
+``verify._verdict``: the verdict as it was first computed, one
+``off_pattern`` call on the split planes and one on the triple planes,
+with the witness from ``decoded_witness``.
 
 ``matching_masks_one_bit_at_a_time`` is the oracle for the per-matching
 verdict masks of ``verify._matching_masks``, built one bit at a time.
@@ -147,6 +152,27 @@ def decoded_witness(layout, mask, off):
         if value:
             return probe
     raise AssertionError("bad 4-subset with no nonzero probe")
+
+
+def off_pattern(group, w):
+    """(uneven, off) of the three presence and three sign planes of a group
+    of ``w`` bits each, from bit 0 up (higher bits are ignored): bit t of
+    ``uneven`` is set when the presence planes differ at t, bit t of
+    ``off`` when (k0, k1, k2) at t is neither all 0 nor +-(1, -1, 1)."""
+    full = (1 << w) - 1
+    p0, p1, p2 = group & full, group >> w & full, group >> 2 * w & full
+    s0, s1, s2 = group >> 3 * w & full, group >> 4 * w & full, group >> 5 * w & full
+    uneven = (p0 ^ p1) | (p0 ^ p2)
+    return uneven, uneven | (s0 ^ s2) | (s1 ^ (p0 & ~s0))
+
+
+def verdict_two_tests(layout, mask):
+    """(closed, orthogonality_zero, xab_zero, witness) of a verdict mask by
+    two ``off_pattern`` calls, split planes and triple planes."""
+    xab_off = off_pattern(mask, layout.q)[1]
+    uneven, triple_off = off_pattern(mask >> 6 * layout.q, layout.r)
+    witness = decoded_witness(layout, mask, xab_off) if xab_off else None
+    return not uneven, not triple_off, not xab_off, witness
 
 
 def matching_masks_one_bit_at_a_time(n):

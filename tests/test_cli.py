@@ -123,7 +123,7 @@ class TestCommands:
         assert code == 0
         assert re.fullmatch(
             r"census: 1500 schemes classified \(n=7\) in \d+\.\d\d s "
-            r"\(\d{1,3}(,\d{3})* schemes/s\)\n",
+            r"\(set-up \d+\.\d\d s, rows \d+\.\d\d s; \d{1,3}(,\d{3})* schemes/s\)\n",
             err,
         )
 

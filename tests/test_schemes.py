@@ -402,6 +402,19 @@ class TestSchemeTuple:
             assert Scheme(scheme) == scheme
             assert "slots" in vars(Scheme(scheme))
 
+    def test_slots_computed_once_and_kept_in_the_instance(self, monkeypatch, scheme5_row3):
+        # A lock-free non-data descriptor: the first read computes and
+        # stores, and later reads find the stored tuple before the class.
+        descriptor = vars(Scheme)["slots"]
+        assert not hasattr(descriptor, "__set__")
+        assert Scheme.slots is descriptor and "structural check" in descriptor.__doc__
+        calls = []
+        compute = descriptor.func
+        monkeypatch.setattr(descriptor, "func", lambda scheme: calls.append(1) or compute(scheme))
+        scheme = Scheme(scheme5_row3)
+        assert scheme.slots is scheme.slots is vars(scheme)["slots"]
+        assert scheme.slots == scheme5_row3.slots and len(calls) == 1
+
     def test_str(self, scheme5_row3):
         assert str(scheme5_row3) == "2-4 3-5 / 1-3 4-5 / 1-4 2-5 / 1-5 2-3 / 1-2 3-4"
 

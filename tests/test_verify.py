@@ -10,6 +10,8 @@ from expansion_oracle import (
     classify_product_table,
     decoded_witness,
     matching_masks_one_bit_at_a_time,
+    off_pattern,
+    verdict_two_tests,
     xab_dense,
 )
 from hypothesis import given, settings
@@ -36,17 +38,16 @@ from oddcross import (
     xab_pairs,
     xab_tensor,
 )
+from oddcross.kernels import enumerate_covers
 from oddcross.reference import reference_schemes
 from oddcross.verify import (
-    _census_rows,
     _layout,
     _matching_masks,
-    _off_pattern,
     _verdict,
     classify_tensor,
     tensor_verdict,
 )
-from oddcross.schemes import pair_index
+from oddcross.schemes import _axis_choice_masks, pair_index, scheme_branches
 
 
 def unit(n, k):
@@ -340,7 +341,17 @@ class TestPluckerCriterion:
         scheme = branch_scheme(dim, branch)
         tensor = build_tensor(scheme)
         ortho, xab = classify_product_table(tensor)
-        ((closed, ortho_zero, xab_zero, witness),) = _census_rows(9, [branch])
+        # The census's row for this branch: its summed verdict mask, looked
+        # up among the tails below its first n-2 picks and walked as a whole
+        # prefix, and the verdict of that mask.
+        choice_masks, labels = _axis_choice_masks(9), _matching_masks(9)
+        head = branch[:-2]
+        tails = dict(
+            zip(enumerate_covers(choice_masks, head), enumerate_covers(choice_masks, head, labels))
+        )
+        mask = tails[branch]
+        assert list(enumerate_covers(choice_masks, branch, labels)) == [mask]
+        closed, ortho_zero, xab_zero, witness = _verdict(_layout(9), mask)
         assert closed == is_closed(scheme)
         assert ortho_zero == ortho
         assert xab_zero == xab
@@ -374,7 +385,7 @@ class TestPluckerCriterion:
                 if not breaking:
                     assert witness is None
                     continue
-                off = _off_pattern(mask, q)[1]
+                off = off_pattern(mask, q)[1]
                 assert off == 1 << t
                 assert witness == decoded_witness(layout, mask, off)
                 a, b = witness
@@ -497,6 +508,71 @@ class TestPluckerCriterion:
                 assert xab_direct(tensor, *witness) != 0
 
 
+class TestCensusWalk:
+    """The census walk labels each matching with its verdict mask and sums
+    them, and ``_verdict`` reads the sum in one inlined body."""
+
+    @pytest.mark.parametrize("n,count", [(3, 1), (5, 6), (7, 6240), (9, 20_000)])
+    def test_summed_labels_are_the_or_of_the_axis_masks(self, n, count):
+        # Every scheme at n <= 7, the first 20,000 at n=9; the masks of one
+        # scheme's axes are pairwise disjoint, which is why the sum is the OR.
+        labels = _matching_masks(n)
+        sums = enumerate_covers(_axis_choice_masks(n), labels=labels)
+        branches = scheme_branches(feasible_dimension(n), limit=count)
+        seen = 0
+        for total, branch in zip(sums, branches):
+            ored = 0
+            for axis_labels, choice in zip(labels, branch):
+                assert not ored & axis_labels[choice]
+                ored |= axis_labels[choice]
+            assert total == ored
+            seen += 1
+        assert seen == count
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_verdict_matches_two_pattern_tests_on_census_masks(self, n):
+        layout = _layout(n)
+        masks = enumerate_covers(_axis_choice_masks(n), labels=_matching_masks(n))
+        for mask in masks:
+            assert _verdict(layout, mask) == verdict_two_tests(layout, mask)
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    def test_verdict_matches_two_pattern_tests_on_random_masks(self, n):
+        # Each 4-subset and each triple gets a pattern (k0, k1, k2): all 0,
+        # +-(1, -1, 1), or, with probability ``breaking``, any of the 27, so
+        # that zero and nonzero verdicts, closed and not, all occur. A sign
+        # bit is set only with its presence bit, as in every verdict mask.
+        rng = random.Random(n)
+        layout = _layout(n)
+        q, r = layout.q, layout.r
+        patterns = list(itertools.product((-1, 0, 1), repeat=3))
+
+        def group(w, breaking):
+            bits = 0
+            for t in range(w):
+                if rng.random() < breaking:
+                    k = rng.choice(patterns)
+                else:
+                    k = rng.choice([(0, 0, 0), (1, -1, 1), (-1, 1, -1)])
+                for plane, kp in enumerate(k):
+                    if kp:
+                        bits |= 1 << plane * w + t
+                    if kp < 0:
+                        bits |= 1 << (3 + plane) * w + t
+            return bits
+
+        verdicts = set()
+        for breaking in (0.0, 0.01, 0.1, 0.5):
+            for _ in range(100):
+                mask = group(q, breaking) | group(r, breaking) << 6 * q
+                verdict = _verdict(layout, mask)
+                assert verdict == verdict_two_tests(layout, mask)
+                verdicts.add(verdict[:3])
+        # n=3 has no 4-subset (q=0), so its X_AB is always zero.
+        assert {(True, True), (True, False), (False, False)} <= {v[:2] for v in verdicts}
+        assert {v[2] for v in verdicts} == ({True} if n == 3 else {True, False})
+
+
 class TestCensus:
     def test_5d_census(self, dim5):
         records = list(census(dim5))
@@ -522,6 +598,13 @@ class TestCensus:
             if len(full_first) == 10:
                 break
         assert limited == full_first
+
+    def test_limits_give_prefixes_of_the_full_census(self, dim7):
+        full = list(census(dim7))
+        assert len(full) == 6240
+        assert all(type(rec) is CensusRecord for rec in full)
+        for k in (1, 2, 7, 100, 3119, 6239, 6240, 6241, 100_000):
+            assert list(census(dim7, limit=k)) == full[:k]
 
     def test_closure_matches_orthogonality(self, dim5, dim7):
         for dim in (dim5, dim7):
