@@ -1,19 +1,21 @@
 """The exact-cover enumeration kernel.
 
 ``enumerate_covers`` is the depth-first search behind
-``schemes.scheme_branches`` and ``verify.census``: a recursive walk over
-the axes that descends, at each axis, into the candidate matchings
-disjoint from the choices above it, in order, except on the last two axes,
-whose picks the choices above determine and which it looks up. It works on
-plain integers and tuples, one bitmask over unordered-pair slots per
-candidate matching.
+``schemes.scheme_branches``, ``schemes.enumerate_schemes`` and
+``verify.census``: a recursive walk over the axes that descends, at each
+axis, into the candidate matchings disjoint from the choices above it, in
+order, except on the last two axes, whose picks the choices above
+determine and which it looks up. It works on plain integers and tuples,
+one bitmask over unordered-pair slots per candidate matching.
 
 Each candidate also has a label, and a cover is yielded as the sum of its
 picks' labels, built up as the walk descends. With the 1-tuple ``(c,)``
 as the label of candidate c, the default, the sum is the tuple of picked
-indices, the branch ``scheme_branches`` streams. With each matching's
-verdict mask as its label, the sum is the scheme's whole verdict mask,
-which ``verify.census`` classifies without ever seeing the branch.
+indices, the branch ``scheme_branches`` streams. With the 1-tuple of
+candidate c's ``Matching``, the sum is the tuple of the picked matchings,
+which ``enumerate_schemes`` makes a Scheme. With each matching's verdict
+mask as its label, the sum is the scheme's whole verdict mask, which
+``verify.census`` classifies without ever seeing the branch.
 
 The walk checks forward (Haralick & Elliott, *Artif. Intell.* 14 (1980)
 263-313). A node does not rescan every candidate of an axis; it carries,

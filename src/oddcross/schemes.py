@@ -11,16 +11,16 @@ count. Adding a point 0 and the edge {0, k} to axis k's matching makes the
 scheme a 1-factorization of K_{n+1}, whose class holding {0, k} names axis
 k. ``Scheme.slots`` is the one structural check, and every scheme, parsed,
 branched or built by hand, passes it when it is built; only
-``enumerate_schemes`` skips it, for branches valid by construction.
+``enumerate_schemes`` skips it, for covers valid by construction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, islice
-from operator import getitem, index
+from operator import index
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from . import kernels
@@ -396,6 +396,22 @@ def scheme_branches(
     yield from islice(covers, limit)
 
 
+class _Labels(dict):
+    """Candidate c of one axis -> the walk label ``(matchings[c],)``, built
+    on first use and kept for one scan: a scan that reaches a few of n=13's
+    10,395 matchings per axis builds a few 1-tuples, not all of them."""
+
+    __slots__ = ("matchings",)
+
+    def __init__(self, matchings: Tuple[Matching, ...]):
+        super().__init__()
+        self.matchings = matchings
+
+    def __missing__(self, c: int) -> Tuple[Matching]:
+        label = self[c] = (self.matchings[c],)
+        return label
+
+
 def enumerate_schemes(
     dim: Dimension,
     *,
@@ -407,15 +423,25 @@ def enumerate_schemes(
     Axes are filled in ascending order and each axis tries its matchings in
     ``axis_matchings`` order, so the stream is deterministic. Any assignment
     with all-distinct pairs is automatically an exact cover (n(n-1)/2 slots
-    for n(n-1)/2 pairs), so no post-filtering is needed.
+    for n(n-1)/2 pairs), so no post-filtering is needed. ``prefix`` and
+    ``limit`` are those of ``scheme_branches``, and the k-th matching of
+    each scheme is ``axis_matchings(dim, k)[branch[k-1]]`` itself for the
+    branch that ``scheme_branches`` streams in its place.
 
-    The kernel's branches are valid by construction (``enumerate_covers``),
-    so each Scheme is built without the check that ``Scheme(...)`` runs.
+    The walk labels each candidate with the 1-tuple of its ``Matching``
+    (``_Labels``), so ``kernels.enumerate_covers`` yields each scheme
+    as the tuple of its matchings, and each Scheme is that tuple, built
+    without the check that ``Scheme(...)`` runs: the kernel's branches are
+    valid by construction. Errors arrive at the first ``next()``: the
+    matching budget (TooManyMatchingsError), then ``limit`` (LimitError),
+    then ``prefix`` (ChoiceRangeError).
     """
-    _axis_choice_masks(dim.n)  # refuses too many matchings before any is built
-    per_axis = [_axis_matchings(dim.n, axis) for axis in range(1, dim.n + 1)]
-    for branch in scheme_branches(dim, prefix=prefix, limit=limit):
-        yield tuple.__new__(Scheme, map(getitem, per_axis, branch))
+    n = dim.n
+    axis_masks = _axis_choice_masks(n)  # refuses too many matchings before any is built
+    limit = _check_limit(limit)
+    labels = [_Labels(_axis_matchings(n, axis)) for axis in range(1, n + 1)]
+    covers = kernels.enumerate_covers(axis_masks, prefix, labels)
+    yield from map(partial(tuple.__new__, Scheme), islice(covers, limit))
 
 
 def is_closed(scheme: Scheme) -> bool:

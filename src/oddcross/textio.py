@@ -18,35 +18,72 @@ from __future__ import annotations
 import json
 import os
 import sys
-from functools import lru_cache
-from itertools import count
 from typing import Optional
 
-from .errors import SchemeSyntaxError
+from .errors import SchemeSyntaxError, SchemeValidationError
 from .schemes import Matching, Scheme, validate_scheme
 
 
-# An n=9 stream draws its lines from 9 x 105 matchings; the bound keeps
-# emitting parsed large-n schemes from growing the cache without limit.
-# Every key is a Matching of Pairs, since a Scheme admits nothing else: a
-# plain tuple equal to a Matching would share its entry but format otherwise.
-@lru_cache(maxsize=2**14)
-def _matching_line(axis: int, matching: Matching) -> str:
-    return f"{axis}: {matching}\n"
+class _MatchingLines(dict):
+    """Matching -> its text line ``"{axis}: {pairs}\n"``, built on first use.
 
+    The line depends on the matching alone. The k-th matching of a
+    ``Scheme`` (checked when built, or an exact cover of the walk) is a
+    perfect matching of {1..n} minus its axis k: its pairs are disjoint and
+    hold every index of 1..n except k. So they hold n - 1 indices,
+    n = 2 * len(matching) + 1, and k is the one index of 1..n they miss,
+    n(n+1)/2 minus the sum of their members. Two equal matchings have the
+    same pairs, hence the same n, axis and line, so the axis is not part
+    of the key. The emitters take only a Scheme, whose matchings are all
+    Matchings of Pairs, so every key formats as a Matching does: a plain
+    tuple equal to a Matching would share its entry but format otherwise.
+
+    An n=9 stream draws its lines from 9 x 105 matchings. The table is
+    cleared when it is full, at 2**14 lines, before it takes another, so
+    emitting large-n schemes (10,395 matchings per axis at n=13) keeps it
+    bounded.
+    """
+
+    __slots__ = ()
+    bound = 2**14
+
+    def __missing__(self, matching: Matching) -> str:
+        n = 2 * len(matching) + 1
+        axis = n * (n + 1) // 2 - sum(map(sum, matching))
+        if len(self) >= self.bound:
+            self.clear()
+        line = self[matching] = f"{axis}: {matching}\n"
+        return line
+
+
+_matching_lines = _MatchingLines()
+_line = _matching_lines.__getitem__
 
 _encode_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
+def _check_scheme(scheme: Scheme) -> None:
+    # The lines' proof holds for a Scheme's matchings only: a plain tuple
+    # of Matchings need not be one.
+    if not isinstance(scheme, Scheme):
+        raise SchemeValidationError(f"need a Scheme, got {type(scheme).__name__}")
+
+
 def emit_scheme_text(scheme: Scheme) -> str:
-    """Canonical serialization; parse_scheme_text inverts it exactly."""
-    return f"n={len(scheme)}\n" + "".join(map(_matching_line, count(1), scheme))
+    """Canonical serialization; parse_scheme_text inverts it exactly.
+
+    Anything but a ``Scheme`` raises SchemeValidationError."""
+    _check_scheme(scheme)
+    return f"n={len(scheme)}\n" + "".join(map(_line, scheme))
 
 
 def emit_scheme_json(scheme_id: int, scheme: Scheme) -> str:
     """One JSON Lines row: the id, n, and per axis its "lo-hi" pair tokens,
-    cut from the same cached matching lines as ``emit_scheme_text``."""
-    axes = [_matching_line(k, m).split()[1:] for k, m in enumerate(scheme, 1)]
+    cut from the same cached matching lines as ``emit_scheme_text``.
+
+    Anything but a ``Scheme`` raises SchemeValidationError."""
+    _check_scheme(scheme)
+    axes = [_line(m).split()[1:] for m in scheme]
     return _encode_json({"scheme_id": scheme_id, "n": len(scheme), "axes": axes}) + "\n"
 
 

@@ -153,8 +153,13 @@ class TestCommands:
                 "census -n 9 --limit 20000",
                 "626504a6ce120d4233a1283c46bf7d498af90f89b30e2771e85b9f0f9550654c",
             ),
+            # Taken before the matching lines were keyed by the matching alone.
+            (
+                "enumerate -n 9 --limit 30000",
+                "cc3265c3eb5ad442ac9a5b3f025ca9b743a21d61d47428cb36be8c5af0a8d55a",
+            ),
         ],
-        ids=["enumerate-text", "enumerate-jsonl", "census", "census-n9-limit"],
+        ids=["enumerate-text", "enumerate-jsonl", "census", "census-n9-limit", "enumerate-n9-limit"],
     )
     def test_pinned_output(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv.split())

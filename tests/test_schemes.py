@@ -1,6 +1,8 @@
 import dataclasses
+import inspect
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -382,6 +384,46 @@ class TestEnumeration:
         assert len(first) == 3
         for scheme in first:
             assert validate_scheme(9, as_pair_lists(scheme)) == scheme
+
+
+class TestEnumerateSchemes:
+    """``enumerate_schemes`` yields, for each branch of ``scheme_branches``,
+    the Scheme of that branch's ``axis_matchings`` objects themselves."""
+
+    @pytest.mark.parametrize(
+        "n,prefix,limit",
+        [(5, (), None), (7, (), None), (9, (50,), 3_000), (11, (), 2_000)],
+        ids=["n5", "n7", "n9-subtree", "n11-first"],
+    )
+    def test_kth_matching_is_the_branch_pick(self, n, prefix, limit):
+        dim = feasible_dimension(n)
+        per_axis = [axis_matchings(dim, k) for k in range(1, n + 1)]
+        count = 0
+        stream = enumerate_schemes(dim, prefix=prefix, limit=limit)
+        branches = scheme_branches(dim, prefix=prefix, limit=limit)
+        for scheme, branch in itertools.zip_longest(stream, branches):
+            assert type(scheme) is Scheme and len(scheme) == n
+            assert all(map(operator.is_, scheme, map(operator.getitem, per_axis, branch)))
+            count += 1
+        assert count == (limit or {5: 6, 7: 6240}[n])
+
+    def test_is_a_generator_function(self):
+        assert inspect.isgeneratorfunction(enumerate_schemes)
+
+    @pytest.mark.parametrize(
+        "n,kwargs,error",
+        [
+            (5, {"limit": 0}, LimitError),
+            (5, {"prefix": (0, 99)}, ChoiceRangeError),
+            (5, {"prefix": (-1,)}, ChoiceRangeError),
+            (15, {}, TooManyMatchingsError),
+        ],
+        ids=["limit-0", "prefix-out-of-range", "prefix-negative", "n15"],
+    )
+    def test_errors_arrive_at_the_first_next(self, n, kwargs, error):
+        stream = enumerate_schemes(feasible_dimension(n), **kwargs)
+        with pytest.raises(error):
+            next(stream)
 
 
 class TestSchemeTuple:

@@ -15,6 +15,7 @@ from oddcross import (
     SchemeSyntaxError,
     SchemeValidationError,
     SelfPairError,
+    axis_matchings,
     branch_scheme,
     emit_scheme_text,
     enumerate_schemes,
@@ -23,6 +24,7 @@ from oddcross import (
     parse_scheme_text,
     validate_scheme,
 )
+from oddcross import textio
 from oddcross.reference import reference_schemes
 
 from conftest import ROW3_5D, random_branch
@@ -292,6 +294,54 @@ class TestEmit:
     def test_round_trip_3d(self, dim3):
         for scheme in enumerate_schemes(dim3):
             assert parse_scheme_text(emit_scheme_text(scheme)) == scheme
+
+
+def old_matching_line(axis, matching):
+    """The line format before lines were keyed by the matching alone."""
+    return f"{axis}: {matching}\n"
+
+
+class TestMatchingLines:
+    """Each matching's text line is cached under the matching alone: its
+    axis is the one index of 1..2*len+1 that its pairs miss."""
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
+    def test_every_matching_gets_its_old_line(self, n):
+        dim = feasible_dimension(n)
+        for axis in range(1, n + 1):
+            for matching in axis_matchings(dim, axis):
+                assert textio._line(matching) == old_matching_line(axis, matching)
+
+    @pytest.mark.parametrize("n", [5, 7, 9])
+    def test_hand_built_matching_gets_the_same_line(self, n):
+        dim = feasible_dimension(n)
+        for axis in range(1, n + 1):
+            for matching in axis_matchings(dim, axis)[::7]:
+                hand = Matching(Pair(lo, hi) for lo, hi in matching)
+                assert hand == matching and hand is not matching
+                assert textio._line(hand) == old_matching_line(axis, matching)
+
+    def test_table_stays_bounded(self):
+        # The 20,790 matchings of axes 1 and 2 of n=13, from an empty table.
+        table = textio._matching_lines
+        table.clear()
+        dim = feasible_dimension(13)
+        largest = 0
+        for axis in (1, 2):
+            for matching in axis_matchings(dim, axis):
+                assert textio._line(matching) == old_matching_line(axis, matching)
+                largest = max(largest, len(table))
+                assert len(table) <= table.bound == 2**14
+        assert largest == 2**14 and len(table) == 20_790 - 2**14
+
+    @pytest.mark.parametrize("kind", [tuple, list])
+    def test_emitters_take_only_a_scheme(self, scheme5_row3, kind):
+        plain = kind(scheme5_row3)
+        name = kind.__name__
+        with pytest.raises(SchemeValidationError, match=f"need a Scheme, got {name}"):
+            emit_scheme_text(plain)
+        with pytest.raises(SchemeValidationError, match=f"need a Scheme, got {name}"):
+            textio.emit_scheme_json(1, plain)
 
 
 def scrambled_pairs(scheme, rng):
