@@ -17,7 +17,8 @@ import time
 from .errors import OddCrossError
 from .reference import reproduce_tables
 from .schemes import (
-    _axis_choice_masks, _check_limit, axis_matchings, enumerate_schemes, feasible_dimension
+    _axis_choice_masks, _check_limit, _count_text, axis_matchings, enumerate_schemes,
+    feasible_dimension,
 )
 from .tensor import build_tensor
 from .textio import emit_scheme_json, emit_scheme_text, load_scheme
@@ -88,7 +89,7 @@ def _cmd_dims(args) -> int:
             continue
         print(
             f"n={n}  pairs/axis={dim.pairs_per_axis}  "
-            f"total pairs={dim.pair_count}  matchings/axis={dim.matchings_per_axis}"
+            f"total pairs={dim.pair_count}  matchings/axis={_count_text(n, 1, '')}"
         )
     return 0
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import combinations, islice
 from operator import index
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
@@ -169,17 +169,43 @@ def axis_matchings(dim: Dimension, axis: int) -> Tuple[Matching, ...]:
     smallest free index first produces exactly that order. An axis with
     more than ``_MATCHING_BUDGET`` matchings, (n-2)!! of them, is refused
     from that count, before any is built (TooManyMatchingsError): from
-    n=17 on, 2,027,025 at n=17.
+    n=17 on, 2,027,025 at n=17. An axis is an int of 1..n (AxisRangeError).
     """
+    try:
+        axis = index(axis)  # a float 1.0 would be a second cache key
+    except TypeError:
+        raise AxisRangeError(f"axis {axis!r} out of range: need an int in 1..{dim.n}") from None
     if not 1 <= axis <= dim.n:
         raise AxisRangeError(f"axis {axis} out of range 1..{dim.n}")
-    count = dim.matchings_per_axis
-    if count > _MATCHING_BUDGET:
-        raise TooManyMatchingsError(
-            f"n={dim.n}: axis {axis} has {count:,} matchings, too many to build "
-            f"(the limit is {_MATCHING_BUDGET:,}, reached at n=15)"
-        )
+    _refuse_too_many(dim.n, 1, f"axis {axis} has", 15)
     return _axis_matchings(dim.n, axis)
+
+
+def _refuse_too_many(n: int, axes: int, holder: str, reached: int) -> None:
+    """TooManyMatchingsError when ``axes`` axes of n, with (n-2)!! matchings
+    each, have more than ``_MATCHING_BUDGET``. The product stops once it
+    passes the budget, so a huge n costs a few multiplications."""
+    count = axes
+    for factor in range(3, n - 1, 2):
+        count *= factor
+        if count > _MATCHING_BUDGET:
+            raise TooManyMatchingsError(
+                f"n={n}: {holder} {_count_text(n, axes)} matchings, too many to build "
+                f"(the limit is {_MATCHING_BUDGET:,}, reached at n={reached})"
+            )
+
+
+def _count_text(n: int, axes: int, spec: str = ",") -> str:
+    """axes * (n-2)!!, formatted with ``spec``, or from 25 digits on as
+    ``about 1.23e4567``, read off its logarithm: Python prints no int of
+    over 4300 digits, and (n-2)!! has more from n=2847 on."""
+    m = (n - 1) // 2  # (n-2)!! = (n-1)! / (2^m m!)
+    log10 = (math.lgamma(n) - math.lgamma(m + 1) - m * math.log(2)) / math.log(10)
+    log10 += math.log10(axes)
+    if log10 < 24:
+        return format(axes * math.prod(range(1, n - 1, 2)), spec)
+    mantissa, shift = f"{10 ** (log10 % 1):.2e}".split("e")
+    return f"about {mantissa}e{int(log10) + int(shift)}"
 
 
 def pair_index(n: int, pair: Pair) -> int:
@@ -188,32 +214,12 @@ def pair_index(n: int, pair: Pair) -> int:
     return (lo - 1) * n - lo * (lo - 1) // 2 + (hi - lo - 1)
 
 
-class _cached_property:
-    """``functools.cached_property`` without its lock: the first read stores
-    the value in the instance ``__dict__``, where later reads find it
-    before this non-data descriptor. Python 3.11's ``cached_property``
-    takes a lock on every first read: 1.0-1.1 us per first read against
-    0.33-0.38 us for this descriptor (Python 3.11.7, 2 shared cores)."""
-
-    def __init__(self, func):
-        self.func = func
-        self.__doc__ = func.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.func(instance)
-        return value
-
-
 class Scheme(tuple):
     """A full assignment: the tuple of its n matchings, one per axis.
 
     ``scheme[k-1]`` is the matching of axis k, so the axis is the position
-    and n is the count: nothing else is stored. Every ``Scheme(matchings)``
+    and n is the count: nothing else is stored but the cached ``slots``
+    (a ``functools.cached_property``). Every ``Scheme(matchings)``
     is checked when it is built, by reading ``slots``, so a scheme that
     exists has passed the structural check. The one unchecked way in is
     ``enumerate_schemes``, whose kernel branches are valid by construction.
@@ -233,7 +239,7 @@ class Scheme(tuple):
         """The Dimension of the count of matchings."""
         return Dimension(len(self))
 
-    @_cached_property
+    @cached_property
     def slots(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """The product table as ``(target, sign)``, checked as it is built.
 
@@ -333,13 +339,8 @@ def _axis_choice_masks(n: int) -> Tuple[Tuple[int, ...], ...]:
     one n-wide table of matchings, so the one place that refuses, from their
     count and before building any, an n whose matchings do not fit in memory
     (TooManyMatchingsError)."""
-    dim = feasible_dimension(n)
-    count = n * dim.matchings_per_axis
-    if count > _MATCHING_BUDGET:
-        raise TooManyMatchingsError(
-            f"n={n}: its axes have {count:,} matchings, too many to build "
-            f"(the limit is {_MATCHING_BUDGET:,}, reached at n=13)"
-        )
+    feasible_dimension(n)
+    _refuse_too_many(n, n, "its axes have", 13)
     return tuple(_axis_masks(n, axis) for axis in range(1, n + 1))
 
 

@@ -85,13 +85,14 @@ class TensorEntry(NamedTuple):
     sign: int
 
 
-class StructureTensor:
+class StructureTensor(tuple):
     """Sparse signed tensor: every ordered index pair maps to one axis.
 
-    Stored as one (target, sign) slot per unordered pair i < j, in
-    ``pair_index`` order: e_i x e_j = sign * e_target (0-based target
-    internally, 1-based in the API), and e_j x e_i is its negation, so the
-    n(n-1)/2 slots fix the whole antisymmetric product.
+    The immutable, hashable tuple ``(dim, target, sign)``, with one (target,
+    sign) slot per unordered pair i < j, in ``pair_index`` order: e_i x e_j
+    = sign * e_target (0-based target internally, 1-based in the API), and
+    e_j x e_i is its negation, so the n(n-1)/2 slots fix the whole
+    antisymmetric product.
 
     There are two ways in. ``build_tensor`` shares a scheme's
     ``Scheme.slots`` tuples, which that scheme's one structural check
@@ -105,52 +106,55 @@ class StructureTensor:
     are stored as immutable tuples.
     """
 
-    def __init__(self, dim: Dimension, target: Sequence[int], sign: Sequence[int]):
-        self.dim = dim
-        self._target, self._sign = _validate(dim.n, target, sign)
+    __slots__ = ()
+
+    def __new__(cls, dim: Dimension, target: Sequence[int], sign: Sequence[int]):
+        return super().__new__(cls, (dim, *_validate(dim.n, target, sign)))
+
+    def __getnewargs__(self):
+        # The arguments pickle and copy pass to __new__, not a plain tuple's one.
+        return tuple(self)
+
+    @property
+    def dim(self) -> Dimension:
+        """The Dimension, the tuple's first item."""
+        return self[0]
+
+    @property
+    def slots(self) -> Tuple[tuple, tuple]:
+        """The 0-based target and the sign slots, in ``pair_index`` order:
+        for a ``build_tensor`` tensor, the very ``Scheme.slots`` tuples of
+        its scheme."""
+        return self[1:]
 
     def lookup(self, i: int, j: int) -> Optional[TensorEntry]:
         """The (axis, sign) slot of e_i x e_j, or None when i == j."""
-        n = self.dim.n
+        dim, target, sign = self
+        n = dim.n
         if not (1 <= i <= n and 1 <= j <= n):
             raise IndexRangeError(f"indices {i},{j} out of range 1..{n}")
         if i == j:
             return None
         if i < j:
             p = pair_index(n, (i, j))
-            return TensorEntry(self._target[p] + 1, self._sign[p])
+            return TensorEntry(target[p] + 1, sign[p])
         p = pair_index(n, (j, i))
-        return TensorEntry(self._target[p] + 1, -self._sign[p])
+        return TensorEntry(target[p] + 1, -sign[p])
 
     def entries(self):
         """Iterate (i, j, axis, sign) over the ordered entries with i < j."""
         pairs = combinations(range(1, self.dim.n + 1), 2)
-        for (i, j), k, s in zip(pairs, self._target, self._sign):
+        for (i, j), k, s in zip(pairs, *self.slots):
             yield i, j, k + 1, s
-
-    @property
-    def slots(self) -> Tuple[tuple, tuple]:
-        """The 0-based target and the sign slots, in ``pair_index`` order,
-        as the tensor's own immutable tuples: for a ``build_tensor`` tensor,
-        the very ``Scheme.slots`` tuples of its scheme."""
-        return self._target, self._sign
-
-    def pair_arrays(self) -> Tuple[list, list]:
-        """The 0-based target and the sign slots as fresh lists, one slot
-        per pair i < j in ``pair_index`` order."""
-        return list(self._target), list(self._sign)
 
     def cross(self, a: Vector, b: Vector) -> list:
         """A x B: component k is the sum of sign * a_i * b_j over entries
         targeting k, taken over all ordered (i, j): each stored pair i < j
         gives s * a_i * b_j and -s * a_j * b_i."""
-        n = self.dim.n
-        if len(a) != n or len(b) != n:
-            raise DimensionMismatchError(
-                f"tensor is {n}-dimensional, vectors have length {len(a)} and {len(b)}"
-            )
+        dim, target, sign = self
+        n = _check_vectors(dim.n, a, b)
         out = [0] * n
-        for (i, j), k, s in zip(combinations(range(n), 2), self._target, self._sign):
+        for (i, j), k, s in zip(combinations(range(n), 2), target, sign):
             # The terms of e_i x e_j and of e_j x e_i, skipped where a is 0.
             if a[i]:
                 out[k] += s * a[i] * b[j]
@@ -158,17 +162,17 @@ class StructureTensor:
                 out[k] += -s * a[j] * b[i]
         return out
 
-    def __eq__(self, other):
-        if not isinstance(other, StructureTensor):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and self._target == other._target
-            and self._sign == other._sign
-        )
-
     def __repr__(self):
         return f"StructureTensor(n={self.dim.n})"
+
+
+def _check_vectors(n: int, a: Vector, b: Vector) -> int:
+    """n, once both vectors have length n (DimensionMismatchError otherwise)."""
+    if len(a) != n or len(b) != n:
+        raise DimensionMismatchError(
+            f"tensor is {n}-dimensional, vectors have length {len(a)} and {len(b)}"
+        )
+    return n
 
 
 def build_tensor(scheme: Scheme) -> StructureTensor:
@@ -178,10 +182,7 @@ def build_tensor(scheme: Scheme) -> StructureTensor:
     from ``enumerate_schemes`` computes here, and the raw-list check does
     not run at all.
     """
-    tensor = StructureTensor.__new__(StructureTensor)
-    tensor.dim = scheme.dim
-    tensor._target, tensor._sign = scheme.slots
-    return tensor
+    return tuple.__new__(StructureTensor, (scheme.dim, *scheme.slots))
 
 
 def pair_determinant(a: Vector, b: Vector, alpha: int, beta: int):

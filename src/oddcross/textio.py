@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from operator import index
 from typing import Optional
 
 from .errors import SchemeSyntaxError, SchemeValidationError
@@ -149,9 +150,14 @@ def parse_scheme_text(text: str, n: Optional[int] = None) -> Scheme:
     """Parse either the canonical format or the compact double-digit form.
 
     For the compact form the dimension is inferred from the number of "/"
-    separated groups unless ``n`` is given explicitly. A given ``n`` that
-    differs from the canonical form's ``n=`` header is a SchemeSyntaxError.
+    separated groups unless ``n`` is given explicitly. A given ``n`` must be
+    an int (SchemeValidationError) equal to any ``n=`` header (SchemeSyntaxError).
     """
+    if n is not None:
+        try:
+            n = index(n)
+        except TypeError:
+            raise SchemeValidationError(f"n must be an int, got {n!r}") from None
     numbered = [(i + 1, line) for i, line in enumerate(text.splitlines())]
     meaningful = [(i, l) for i, l in numbered if l.strip() and not l.lstrip().startswith("#")]
     if not meaningful:

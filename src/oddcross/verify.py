@@ -29,21 +29,12 @@ from itertools import combinations, count, islice, product, repeat, starmap
 from operator import mul
 from typing import Iterator, NamedTuple, Optional, TextIO, Tuple
 
-from .errors import DimensionMismatchError, SchemeTensorMismatchError
+from .errors import SchemeTensorMismatchError
 from .kernels import enumerate_covers
 from .schemes import Dimension, Scheme, _axis_choice_masks, _check_limit, _slots
-from .tensor import StructureTensor, Vector, dot, orient_pair
+from .tensor import StructureTensor, Vector, _check_vectors, dot, orient_pair
 
 CENSUS_CSV_HEADER = ("scheme_id", "closed", "orthogonality_zero", "xab_zero", "witness")
-
-
-def _check_dims(tensor: StructureTensor, a: Vector, b: Vector) -> int:
-    n = tensor.dim.n
-    if len(a) != n or len(b) != n:
-        raise DimensionMismatchError(
-            f"tensor is {n}-dimensional, vectors have length {len(a)} and {len(b)}"
-        )
-    return n
 
 
 def orthogonality_defect(tensor: StructureTensor, a: Vector, b: Vector) -> Tuple:
@@ -92,7 +83,7 @@ def xab_tensor(tensor: StructureTensor, a: Vector, b: Vector):
     never squared as a whole: that would be ``xab_direct``'s |AxB|^2, and
     the routes must stay independent.
     """
-    n = _check_dims(tensor, a, b)
+    n = _check_vectors(tensor.dim.n, a, b)
     # Per output axis k, s a_i b_j of each of its entries (i, j, s), every
     # stored pair i < j in both orders.
     per_axis = [[] for _ in range(n)]
@@ -119,19 +110,17 @@ def xab_pairs(tensor: StructureTensor, a: Vector, b: Vector, scheme: Scheme):
     The squared norms cancel against the per-pair squares by the Lagrange
     identity, leaving only the mixed products. The determinants assume
     e_alpha x e_beta = +e_axis for each oriented pair, so ``tensor`` must
-    equal the scheme's own tensor, entry by entry (SchemeTensorMismatchError
-    otherwise). That check is skipped only when the tensor holds the
-    scheme's own ``slots`` tuples, as ``build_tensor`` makes it do: the
-    same objects cannot disagree. Every other tensor, even one equal in
-    content, is checked slot by slot.
+    equal the scheme's own tensor (SchemeTensorMismatchError otherwise):
+    its ``slots`` must equal the scheme's ``slots``, which is one tuple
+    comparison, and only a tensor that fails it is walked entry by entry
+    to name its first wrong slot.
     """
-    n = _check_dims(tensor, a, b)
+    n = _check_vectors(tensor.dim.n, a, b)
     if len(scheme) != n:
         raise SchemeTensorMismatchError(
             f"scheme is {len(scheme)}-dimensional, tensor is {n}-dimensional"
         )
-    held_target, held_sign = tensor.slots
-    if held_target is not scheme.slots[0] or held_sign is not scheme.slots[1]:
+    if tensor.slots != scheme.slots:
         for (i, j, axis, sign), k, s in zip(tensor.entries(), *scheme.slots):
             if (axis, sign) != (k + 1, s):
                 alpha, beta = (i, j) if s > 0 else (j, i)

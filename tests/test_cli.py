@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -291,6 +292,38 @@ class TestErrors:
         one = (oddcross.Matching((oddcross.Pair(2, 3),)),)
         monkeypatch.setattr(oddcross.schemes, "_axis_matchings", lambda n, axis: one)
         assert run(capsys, "matchings", "-n", "15", "--axis", "1") == (0, "2-3\n", "")
+
+    @pytest.mark.parametrize(
+        "argv,status",
+        [
+            (("census", "-n", "2847"), 1),
+            (("enumerate", "-n", "2847"), 1),
+            (("matchings", "-n", "2849", "--axis", "1"), 1),
+            (("census", "-n", "1001"), 1),
+            (("dims", "--max", "2849"), 0),
+        ],
+        ids=["census", "enumerate", "matchings", "census-1001", "dims"],
+    )
+    def test_huge_n(self, capsys, argv, status):
+        # (n-2)!! has over 4300 digits from n=2847 on, which Python refuses
+        # to print: these died with a ValueError traceback, the census -n 1001
+        # error line was 1,814 bytes long, and the count was multiplied out
+        # in full before the refusal.
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == status and "Traceback" not in err
+        lines = (out + err).splitlines()
+        assert lines and all(len(line) < 200 for line in lines)
+        if status:
+            assert out == "" and re.fullmatch(
+                r"error: n=\d+: (its axes have|axis 1 has) about \d\.\d\de\d+ matchings, "
+                r"too many to build \(the limit is 135,135, reached at n=1[35]\)\n",
+                err,
+            )
+        else:
+            assert lines[-1].endswith("matchings/axis=about 9.55e4300")
+            assert "n=17  pairs/axis=8  total pairs=136  matchings/axis=2027025" in lines
 
     def test_unwritable_output(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.csv"

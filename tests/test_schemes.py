@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import inspect
 import itertools
 import math
@@ -10,6 +11,7 @@ import pytest
 import oddcross.schemes
 import oddcross.verify
 from oddcross import (
+    AxisRangeError,
     BadMatchingError,
     ChoiceRangeError,
     Dimension,
@@ -135,6 +137,22 @@ class TestAxisMatchings:
             axis_matchings(dim5, 0)
         with pytest.raises(IndexError):
             axis_matchings(dim5, 6)
+
+    def test_axis_taken_as_an_int(self, dim5):
+        # A float axis 1.0 used to return axis 1's matchings under a second
+        # cache key, and a string raised a bare TypeError.
+        class Index:
+            def __index__(self):
+                return 1
+
+        first = axis_matchings(dim5, 1)
+        cached = oddcross.schemes._axis_matchings.cache_info().currsize
+        assert axis_matchings(dim5, True) is first
+        assert axis_matchings(dim5, Index()) is first
+        for axis in (1.0, "1", None):
+            with pytest.raises(AxisRangeError, match="need an int in 1..5"):
+                axis_matchings(dim5, axis)
+        assert oddcross.schemes._axis_matchings.cache_info().currsize == cached
 
 
 class TestValidateScheme:
@@ -445,9 +463,10 @@ class TestSchemeTuple:
             assert "slots" in vars(Scheme(scheme))
 
     def test_slots_computed_once_and_kept_in_the_instance(self, monkeypatch, scheme5_row3):
-        # A lock-free non-data descriptor: the first read computes and
-        # stores, and later reads find the stored tuple before the class.
+        # functools.cached_property, a non-data descriptor: the first read
+        # computes and stores, and later reads find the stored tuple first.
         descriptor = vars(Scheme)["slots"]
+        assert type(descriptor) is functools.cached_property
         assert not hasattr(descriptor, "__set__")
         assert Scheme.slots is descriptor and "structural check" in descriptor.__doc__
         calls = []

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -265,7 +267,7 @@ class TestDot:
 class TestTensorValidation:
     # Slots are in pair_index order; for n=5: 1-2 -> 0, 1-3 -> 1, 1-4 -> 2.
     def arrays(self, tensor):
-        target, sign = tensor.pair_arrays()
+        target, sign = map(list, tensor.slots)
         return tensor.dim, target, sign
 
     def test_scheme_tensor_accepted(self, tensor5_row3):
@@ -309,7 +311,7 @@ class TestTensorValidation:
         dim, target, sign = self.arrays(tensor5_row3)
         tensor = StructureTensor(dim, [Index(k) for k in target], [Index(s) for s in sign])
         assert tensor == tensor5_row3
-        assert all(type(x) is int for x in sum(tensor.pair_arrays(), []))
+        assert all(type(x) is int for x in sum(map(list, tensor.slots), []))
 
     def test_axis_pairs_overlap(self, tensor5_row3):
         # Row 3 puts 1-3 on axis 2; moving 1-4 there too (from axis 3)
@@ -338,7 +340,7 @@ class TestSchemeSlots:
     def test_slots_pass_the_raw_check(self):
         for scheme in self.schemes():
             tensor = build_tensor(scheme)
-            assert tensor == StructureTensor(scheme.dim, *tensor.pair_arrays())
+            assert tensor == StructureTensor(scheme.dim, *map(list, tensor.slots))
 
     def test_slots_follow_orient_pair(self, scheme7_row11):
         target, sign = scheme7_row11.slots
@@ -348,19 +350,16 @@ class TestSchemeSlots:
 
     def test_tensor_owns_its_lists(self, scheme5_row3, tensor5_row3):
         # The slots are immutable tuples: build_tensor shares the scheme's
-        # own, the constructor stores its checked copies, and pair_arrays()
-        # hands out fresh lists.
+        # own, and the constructor stores checked copies of raw lists.
         target, sign = scheme5_row3.slots
         assert type(target) is tuple and type(sign) is tuple
         tensor = build_tensor(scheme5_row3)
-        assert tensor._target is target and tensor._sign is sign
-        raw_target, raw_sign = tensor.pair_arrays()
+        assert tensor.slots[0] is target and tensor.slots[1] is sign
+        raw_target, raw_sign = map(list, tensor.slots)
         rebuilt = StructureTensor(tensor.dim, raw_target, raw_sign)
-        assert type(rebuilt._target) is tuple and type(rebuilt._sign) is tuple
+        assert all(type(slot) is tuple for slot in rebuilt.slots)
         raw_target[0] = raw_sign[0] = 0
         assert rebuilt == tensor == tensor5_row3
-        assert tensor.pair_arrays() == (list(target), list(sign))
-        assert tensor.pair_arrays()[0] is not tensor.pair_arrays()[0]
 
     def test_hand_built_duplicate_rejected(self):
         # Pair 4-5 sits on axes 1 and 2. This used to get past the scheme and
@@ -410,7 +409,50 @@ class TestSchemeSlots:
         tensor = build_tensor(parse_scheme_text(ROW11_7D, 7))
         assert tensor.lookup(5, 2) == TensorEntry(3, 1)
         with pytest.raises(AssertionError, match="raw-list check"):
-            StructureTensor(tensor.dim, *tensor.pair_arrays())
+            StructureTensor(tensor.dim, *map(list, tensor.slots))
+
+
+class TestTensorTuple:
+    """A tensor is the tuple (dim, target, sign): immutable, hashable, and
+    equal to another exactly when n and both slot tuples are equal."""
+
+    def test_is_the_tuple_of_dim_and_slots(self, scheme5_row3, tensor5_row3):
+        dim, target, sign = tensor5_row3
+        assert isinstance(tensor5_row3, tuple) and dim == scheme5_row3.dim
+        assert (target, sign) == tensor5_row3.slots == scheme5_row3.slots
+        assert hash(tensor5_row3) == hash(build_tensor(scheme5_row3))
+        assert repr(tensor5_row3) == "StructureTensor(n=5)"
+
+    @pytest.mark.parametrize("name", ["dim", "slots", "_target", "extra"])
+    def test_immutable(self, tensor5_row3, name):
+        # Setting dim used to be accepted, after which cross() returned a
+        # vector of the new length, all zeros.
+        with pytest.raises(AttributeError):
+            setattr(tensor5_row3, name, feasible_dimension(7))
+        assert tensor5_row3.dim.n == 5 and not hasattr(tensor5_row3, "__dict__")
+
+    def test_build_tensor_shares_the_slots(self, scheme7_row11):
+        tensor = build_tensor(scheme7_row11)
+        assert tensor.slots[0] is scheme7_row11.slots[0]
+        assert tensor.slots[1] is scheme7_row11.slots[1]
+
+    def test_equality(self, tensor5_row3, tensor7_row11, tensor7_row2):
+        rebuilt = StructureTensor(tensor7_row11.dim, *map(list, tensor7_row11.slots))
+        assert rebuilt == tensor7_row11 and not rebuilt != tensor7_row11
+        assert tensor5_row3 != tensor7_row11 and tensor7_row2 != tensor7_row11
+
+    @pytest.mark.parametrize("copier", ["pickle", "copy", "deepcopy"])
+    def test_pickle_and_copy(self, scheme7_row11, tensor7_row11, copier):
+        copied = {
+            "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+            "copy": copy.copy,
+            "deepcopy": copy.deepcopy,
+        }[copier]
+        tensor, scheme = copied(tensor7_row11), copied(scheme7_row11)
+        assert type(tensor) is StructureTensor and tensor == tensor7_row11
+        assert type(scheme) is Scheme and scheme == scheme7_row11
+        assert scheme.slots == scheme7_row11.slots
+        assert tensor.cross(unit(7, 1), unit(7, 2)) == tensor7_row11.cross(unit(7, 1), unit(7, 2))
 
 
 class Index:

@@ -105,6 +105,19 @@ class TestParse:
         assert err.value.line == 1
         assert parse_scheme_text(ROW3_FULL, 5) == scheme5_row3
 
+    @pytest.mark.parametrize("text", [ROW3_5D, ROW3_FULL], ids=["compact", "canonical"])
+    def test_n_must_be_an_int(self, scheme5_row3, text):
+        # A string "5" used to be told "expected 5 axis groups, found 5" or
+        # "header says n=5, but n=5 was given".
+        class Index:
+            def __index__(self):
+                return 5
+
+        for n in ("5", 5.0):
+            with pytest.raises(SchemeValidationError, match=f"n must be an int, got {n!r}"):
+                parse_scheme_text(text, n)
+        assert parse_scheme_text(text, Index()) == scheme5_row3
+
     def test_comment_lines_ignored(self, scheme5_row3):
         assert parse_scheme_text("# comment\n" + ROW3_FULL) == scheme5_row3
 
