@@ -12,6 +12,7 @@ from .errors import (
     ChoiceRangeError,
     DimensionMismatchError,
     DimensionTooSmallError,
+    DimensionTypeError,
     DuplicatePairError,
     EvenDimensionError,
     FeasibilityError,

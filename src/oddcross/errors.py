@@ -22,6 +22,10 @@ class TooManyMatchingsError(FeasibilityError):
     """The dimension's per-axis matchings are too many to build in memory."""
 
 
+class DimensionTypeError(OddCrossError, TypeError):
+    """A dimension argument that is not a ``Dimension``, such as a bare int n."""
+
+
 class AxisRangeError(OddCrossError, IndexError):
     """An axis number outside 1..n."""
 

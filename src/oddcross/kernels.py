@@ -119,16 +119,17 @@ def enumerate_covers(axis_masks, prefix=(), labels=None):
     straight from each listed candidate to ``_Tails``, and adds that
     candidate's label once for all the tails below it.
 
-    Sum equals OR for the census labels, the verdict masks of
-    ``verify._matching_masks``. Ints whose set bits are pairwise disjoint
-    add without a carry, so their sum is their OR, and the n masks of one
-    cover are pairwise disjoint. A split bit and its sign bit are set by
-    an axis's mask only when both pairs of the split sit on that axis;
-    each pair sits on exactly one axis of a cover, so at most one axis
-    covers a split and sets those bits. A triple role bit and its sign bit
-    stand for one pair sitting on one axis, and only that axis's mask sets
-    them, when the pair is one of its pairs, so each role is set by one
-    axis at most.
+    No carries for the census labels, the verdict masks of
+    ``verify._matching_masks``. Each is a row of 6-bit fields, one per
+    4-subset and per triple, and the sum of a cover's masks is their
+    field-by-field sum as long as no field's sum passes 63. A split field
+    gets a plane's value only from an axis that holds both pairs of the
+    split; each pair sits on exactly one axis of a cover, so at most one
+    axis adds each of its three planes. A triple field gets a role's value
+    only from the axis that holds the role's pair, so again one axis at
+    most per role. A field therefore sums at most one value per plane or
+    role, 52 at most, and no sum carries into the next field (the field
+    values and their bound are in ``verify._verdict``).
     """
     n_axes = len(axis_masks)
     if len(prefix) > n_axes:

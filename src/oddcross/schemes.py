@@ -29,6 +29,7 @@ from .errors import (
     BadMatchingError,
     ChoiceRangeError,
     DimensionTooSmallError,
+    DimensionTypeError,
     DuplicatePairError,
     EvenDimensionError,
     LimitError,
@@ -80,6 +81,16 @@ class Dimension:
 def feasible_dimension(n: int) -> Dimension:
     """The Dimension of n, checked as ``Dimension`` checks it."""
     return Dimension(n)
+
+
+def _check_dim(dim: Dimension) -> int:
+    """``dim.n``, once ``dim`` is a Dimension: a bare int n would otherwise
+    fail deep inside as an AttributeError (DimensionTypeError instead)."""
+    if not isinstance(dim, Dimension):
+        raise DimensionTypeError(
+            f"expected a Dimension, as feasible_dimension(n) makes, got {dim!r}"
+        )
+    return dim.n
 
 
 class Pair(NamedTuple):
@@ -171,6 +182,7 @@ def axis_matchings(dim: Dimension, axis: int) -> Tuple[Matching, ...]:
     from that count, before any is built (TooManyMatchingsError): from
     n=17 on, 2,027,025 at n=17. An axis is an int of 1..n (AxisRangeError).
     """
+    _check_dim(dim)
     try:
         axis = index(axis)  # a float 1.0 would be a second cache key
     except TypeError:
@@ -351,11 +363,12 @@ def branch_scheme(dim: Dimension, branch: Sequence[int]) -> Scheme:
     each inside that axis's matchings, and DuplicatePairError when two
     chosen matchings share a pair: the Scheme is checked as it is built.
     """
-    if len(branch) != dim.n:
-        raise ChoiceRangeError(f"branch has {len(branch)} choices, need one per axis ({dim.n})")
-    masks = _axis_choice_masks(dim.n)
+    n = _check_dim(dim)
+    if len(branch) != n:
+        raise ChoiceRangeError(f"branch has {len(branch)} choices, need one per axis ({n})")
+    masks = _axis_choice_masks(n)
     branch = [kernels._check_choice(masks, d, choice) for d, choice in enumerate(branch)]
-    return Scheme(_axis_matchings(dim.n, d)[choice] for d, choice in enumerate(branch, 1))
+    return Scheme(_axis_matchings(n, d)[choice] for d, choice in enumerate(branch, 1))
 
 
 def _check_limit(limit: Optional[int]) -> Optional[int]:
@@ -392,8 +405,9 @@ def scheme_branches(
     (Python 3.11 on 2 shared cores). From n=15 on (2.0M at n=15, 34.5M at
     n=17) they are refused with TooManyMatchingsError instead.
     """
+    n = _check_dim(dim)
     limit = _check_limit(limit)
-    covers = kernels.enumerate_covers(_axis_choice_masks(dim.n), prefix)
+    covers = kernels.enumerate_covers(_axis_choice_masks(n), prefix)
     yield from islice(covers, limit)
 
 
@@ -433,11 +447,12 @@ def enumerate_schemes(
     (``_Labels``), so ``kernels.enumerate_covers`` yields each scheme
     as the tuple of its matchings, and each Scheme is that tuple, built
     without the check that ``Scheme(...)`` runs: the kernel's branches are
-    valid by construction. Errors arrive at the first ``next()``: the
-    matching budget (TooManyMatchingsError), then ``limit`` (LimitError),
-    then ``prefix`` (ChoiceRangeError).
+    valid by construction. Errors arrive at the first ``next()``: a
+    ``dim`` that is not a Dimension (DimensionTypeError), the matching
+    budget (TooManyMatchingsError), then ``limit`` (LimitError), then
+    ``prefix`` (ChoiceRangeError).
     """
-    n = dim.n
+    n = _check_dim(dim)
     axis_masks = _axis_choice_masks(n)  # refuses too many matchings before any is built
     limit = _check_limit(limit)
     labels = [_Labels(_axis_matchings(n, axis)) for axis in range(1, n + 1)]

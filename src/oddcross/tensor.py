@@ -23,7 +23,7 @@ from .errors import (
     SelfPairError,
     TensorValidationError,
 )
-from .schemes import Dimension, Pair, Scheme, pair_index
+from .schemes import Dimension, Pair, Scheme, _check_dim, pair_index
 
 Vector = Sequence
 
@@ -109,7 +109,7 @@ class StructureTensor(tuple):
     __slots__ = ()
 
     def __new__(cls, dim: Dimension, target: Sequence[int], sign: Sequence[int]):
-        return super().__new__(cls, (dim, *_validate(dim.n, target, sign)))
+        return super().__new__(cls, (dim, *_validate(_check_dim(dim), target, sign)))
 
     def __getnewargs__(self):
         # The arguments pickle and copy pass to __new__, not a plain tuple's one.

@@ -13,12 +13,12 @@ contraction of the four-index tensor chi over its nonzero entries,
 scheme-pair determinants) that must agree exactly on integer input.
 Identity-level questions ("is this zero for ALL vectors?") are decided
 exactly, never by sampling, in one verdict pass: each axis contributes
-one int mask of split and triple planes, and one pattern test on the OR
-of those masks decides X_AB (the Plücker criterion on 4-subsets) and
-orthogonality (total antisymmetry on triples), both proved in
-``_verdict``. ``tensor_verdict`` gives a tensor's verdict and ``census``
-every scheme's; a nonzero X_AB verdict always comes with a constructed
-0/1 witness pair.
+one int mask of 6-bit counter fields, one per 4-subset and per triple,
+and masked ANDs on the sum of those masks decide X_AB (the Plücker
+criterion on 4-subsets), orthogonality (total antisymmetry on triples)
+and closure, all proved in ``_verdict``. ``tensor_verdict`` gives a
+tensor's verdict and ``census`` every scheme's; a nonzero X_AB verdict
+always comes with a constructed 0/1 witness pair.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Iterator, NamedTuple, Optional, TextIO, Tuple
 
 from .errors import SchemeTensorMismatchError
 from .kernels import enumerate_covers
-from .schemes import Dimension, Scheme, _axis_choice_masks, _check_limit, _slots
+from .schemes import Dimension, Scheme, _axis_choice_masks, _check_dim, _check_limit, _slots
 from .tensor import StructureTensor, Vector, _check_vectors, dot, orient_pair
 
 CENSUS_CSV_HEADER = ("scheme_id", "closed", "orthogonality_zero", "xab_zero", "witness")
@@ -139,38 +139,48 @@ def xab_pairs(tensor: StructureTensor, a: Vector, b: Vector, scheme: Scheme):
     return 2 * total
 
 
+# A verdict mask is one 6-bit field per 4-subset and per triple, and each
+# present split plane or triple role adds its value to its field: the one of
+# index i = 0, 1, 2 with sign (product) +1, or the one with -1.
+_PLUS = (9, 2, 9)
+_MINUS = (17, 18, 17)
+_OFF = 0b011011  # a field with one of these bits set breaks the pattern test
+_UNEVEN = 0b000011  # a field with one of these bits set has some planes, not all
+
+
+def _field_value(k) -> int:
+    """The field of a pattern (k0, k1, k2), each in {-1, 0, 1} (0 = absent)."""
+    return sum(_PLUS[i] if kp > 0 else _MINUS[i] for i, kp in enumerate(k) if kp)
+
+
 class _Layout(NamedTuple):
-    """Bit positions of the verdict mask for one n (0-based indices).
+    """The fields of the verdict mask for one n (0-based indices).
 
-    A mask is one int made of four groups of three planes each:
-
-    * bits 0..3q, covered splits: plane 0 of a 4-subset {a<b<c<d} is
-      {ab|cd}, plane 1 {ac|bd}, plane 2 {ad|bc}, and bit t of a plane is
-      the t-th 4-subset in ``combinations`` order;
-    * bits 3q..6q, the covered splits whose two pairs have opposite signs;
-    * bits 6q..6q+3r, present triple roles: plane 0 of a triple {x<y<z}
-      marks the pair {y,z} on axis x, plane 1 {x,z} on y, plane 2 {x,y} on
-      z, and bit t of a plane is the t-th triple;
-    * bits 6q+3r..6q+6r, the present roles whose pair has sign -1
-      (e_lo x e_hi = -e_axis).
-
-    ``mask >> t & spread`` is the split pattern of 4-subset t: its six
-    plane bits, at bits 0, q, ..., 5q. ``first_probe`` maps each breaking
-    pattern to the index of the witness probe ``_verdict`` takes for it.
-    At n=3 (q=0) there is no 4-subset and neither is read.
+    A mask is one int of q + r fields of 6 bits: field t, at bits 6t..6t+5,
+    is the t-th 4-subset in ``combinations`` order, and field q + t the
+    t-th triple. Split plane 0 of a 4-subset {a<b<c<d} is {ab|cd}, plane 1
+    {ac|bd}, plane 2 {ad|bc}, and a split covered by one axis adds its
+    plane's ``_PLUS`` or ``_MINUS`` value, by the sign product of its two
+    pairs. Role 0 of a triple {x<y<z} is the pair {y,z} on axis x, role 1
+    {x,z} on y, role 2 {x,y} on z, and a present role adds its ``_PLUS`` or
+    ``_MINUS`` value, by the sign of e_lo x e_hi on that axis. The three
+    row tests are ``xab_test``, ``ortho_test`` and ``closed_test``, and
+    ``first_probe`` maps a breaking split field value to the index of the
+    witness probe ``_verdict`` takes for it. At n=3 (q=0) there is no
+    4-subset and ``xab_test`` is 0.
     """
 
     n: int
     q: int
     r: int
     pair_count: int
-    split_bit: list  # [p * pair_count + p2]: covered bit of the split made of pair slots p, p2
-    triple_bit: list  # [p * n + k]: present bit of pair slot p sitting on axis k
+    split_field: list  # [p * pair_count + p2]: (shift, +1 value, -1 value) of split p|p2
+    triple_field: list  # [p * n + k]: (shift, +1 value, -1 value) of pair slot p on axis k
     probes: tuple  # per 4-subset: the three 0/1 probe pairs (A, B) of the witness
-    spread: int  # bit 0 of each of the six split planes
-    first_probe: dict  # breaking split pattern -> index (0, 1, 2) of its first nonzero probe
-    split_full: int  # (1 << q) - 1, one split plane
-    triple_full: int  # (1 << r) - 1, one triple plane
+    first_probe: tuple  # split field value (0..63) -> index of its first nonzero probe, or None
+    xab_test: int  # the ``_OFF`` bits of every split field
+    ortho_test: int  # the ``_OFF`` bits of every triple field
+    closed_test: int  # the ``_UNEVEN`` bits of every triple field
 
 
 @lru_cache(maxsize=None)
@@ -181,18 +191,21 @@ def _layout(n: int) -> _Layout:
     triples = {t: i for i, t in enumerate(combinations(range(n), 3))}
     q, r, pair_count = len(quads), len(triples), len(pairs)
 
-    split_bit = [-1] * (pair_count * pair_count)
+    split_field = [None] * (pair_count * pair_count)
     for t, (a, b, c, d) in enumerate(quads):
         for plane, (x, y) in enumerate((((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c)))):
             px, py = slot[x], slot[y]
-            split_bit[px * pair_count + py] = split_bit[py * pair_count + px] = plane * q + t
+            split_field[px * pair_count + py] = split_field[py * pair_count + px] = (
+                6 * t, _PLUS[plane], _MINUS[plane]
+            )
 
-    triple_bit = [-1] * (pair_count * n)
+    triple_field = [None] * (pair_count * n)
     for p, (i, j) in enumerate(pairs):
         for k in range(n):
             if k != i and k != j:
                 triple = tuple(sorted((i, j, k)))
-                triple_bit[p * n + k] = 6 * q + triple.index(k) * r + triples[triple]
+                role = triple.index(k)
+                triple_field[p * n + k] = (6 * (q + triples[triple]), _PLUS[role], _MINUS[role])
 
     def basis_sum(x, y):
         return tuple(int(i == x or i == y) for i in range(n))
@@ -205,43 +218,35 @@ def _layout(n: int) -> _Layout:
         )
         for a, b, c, d in quads
     )
-    spread = 0
-    for plane in range(6):
-        spread |= 1 << plane * q
-    first_probe = {}
+    first_probe = [None] * 64
     for k in product((-1, 0, 1), repeat=3):
         k0, k1, k2 = k
         values = (2 * (k0 - k2), 2 * (k1 + k2), -2 * (k0 + k1))
         if any(values):  # all three vanish only for the non-breaking (k, -k, k)
-            pattern = 0
-            for plane, kp in enumerate(k):
-                if kp:
-                    pattern |= 1 << plane * q
-                if kp < 0:
-                    pattern |= 1 << (3 + plane) * q
-            first_probe[pattern] = next(i for i, v in enumerate(values) if v)
+            first_probe[_field_value(k)] = next(i for i, v in enumerate(values) if v)
+    split_fields = sum(1 << 6 * t for t in range(q))
+    triple_fields = sum(1 << 6 * (q + t) for t in range(r))
     return _Layout(
-        n, q, r, pair_count, split_bit, triple_bit, probes, spread, first_probe,
-        (1 << q) - 1, (1 << r) - 1,
+        n, q, r, pair_count, split_field, triple_field, probes, tuple(first_probe),
+        _OFF * split_fields, _OFF * triple_fields, _UNEVEN * triple_fields,
     )
 
 
 def _pairs_mask(layout: _Layout, pairs) -> int:
     """The verdict mask of ``pairs``, (pair slot, 0-based axis, sign)
     triples with distinct slots: each pair's triple role, and the split it
-    makes with each earlier pair of its axis, one shifted bit each."""
-    split_bit, triple_bit = layout.split_bit, layout.triple_bit
+    makes with each earlier pair of its axis, one field value added each."""
+    split_field, triple_field = layout.split_field, layout.triple_field
     width, n = layout.pair_count, layout.n
-    # A role of sign -1, or a split of two unequal signs, also sets the sign
-    # bit 3r (or 3q) above its plane bit.
-    split_neg, triple_neg = 1 | 1 << 3 * layout.q, 1 | 1 << 3 * layout.r
     earlier = [[] for _ in range(n)]  # per axis: the (slot, sign) seen so far
     mask = 0
     for p, k, s in pairs:
-        mask |= (1 if s > 0 else triple_neg) << triple_bit[p * n + k]
+        shift, plus, minus = triple_field[p * n + k]
+        mask += (plus if s > 0 else minus) << shift
         row = p * width
         for p2, s2 in earlier[k]:
-            mask |= (1 if s == s2 else split_neg) << split_bit[row + p2]
+            shift, plus, minus = split_field[row + p2]
+            mask += (plus if s == s2 else minus) << shift
         earlier[k].append((p, s))
     return mask
 
@@ -276,23 +281,41 @@ def _tensor_mask(tensor: StructureTensor) -> Tuple[_Layout, int]:
 
 def _verdict(layout: _Layout, mask: int):
     """(closed, orthogonality_zero, xab_zero, witness) of a verdict mask: a
-    tensor's ``_tensor_mask``, or a scheme's OR of its axis masks, which
-    the census walk sums. The witness is None when X_AB is identically zero.
-    ``tensor_verdict`` and ``census`` both take their verdicts here.
+    tensor's ``_tensor_mask``, or a scheme's sum of its axis masks, which
+    the census walk yields. The witness is None when X_AB is identically
+    zero. ``tensor_verdict`` and ``census`` both take their verdicts here.
 
-    The mask holds two groups of three presence planes p0, p1, p2 and three
-    sign planes s0, s1, s2: the splits, with planes of ``q`` bits from bit
-    0, and the triple roles, with planes of ``r`` bits from bit 6q. A sign
-    bit is set only where its presence bit is. Read k = 0 where p is clear,
-    -1 where s is set and +1 otherwise. In a group, bit t of ``uneven`` is
-    set when the three planes' presence differs at t, and bit t of ``off``
-    when (k0, k1, k2) at t is neither all 0 nor +-(1, -1, 1). With all
-    three present, that pattern is s0 = s2 and s1 = not s0, so
+    Fields. The mask holds one 6-bit field per 4-subset (its three split
+    planes) and one per triple (its three roles). Read k_i = 0 when plane
+    or role i is absent and its sign (product) otherwise; the field is the
+    sum over the present ones of ``_PLUS[i]`` (k_i = +1) or ``_MINUS[i]``
+    (k_i = -1). Write a field as lo + 8 hi. ``_PLUS`` = (1, 2, 1) + 8 (1, 0, 1)
+    and ``_MINUS`` = (1, 2, 1) + 8 (2, 2, 2), so
 
-        off = (p0^p1) | (p0^p2) | (s0^s2) | (s1 ^ (p0 & ~s0)).
+        lo = sum over present i of (1, 2, 1)[i],
+        hi = sum over present i of (1, 0, 1)[i] + sum over k_i = -1 of (1, 2, 1)[i].
 
-    The X_AB identity is this test on the split planes, and orthogonality
-    is the same test on the triple planes.
+    lo <= 4 and hi <= 6, so lo stays in bits 0..2, hi in bits 3..5, and a
+    field is at most 52. lo is 0 for no plane, 1, 2, 1, 3, 2, 3 for the
+    six proper nonempty subsets and 4 for all three, so lo = 0 mod 4
+    exactly when none or all are present: no ``_UNEVEN`` bit (0b000011)
+    set. With none present hi = 0. With all present hi = 2 plus the
+    (1, 2, 1) weights of the negative ones, which is 0 mod 4 exactly when
+    those weigh 2: only k_1 = -1, (1, -1, 1), or only k_0 = k_2 = -1,
+    (-1, 1, -1). Hence no ``_OFF`` bit (0b011011) of a field is set exactly
+    when its (k0, k1, k2) is all 0 or +-(1, -1, 1). The X_AB identity is
+    this test on every split field, ``mask & xab_test``, orthogonality is
+    the same test on every triple field, ``mask & ortho_test``, and closure
+    is the ``_UNEVEN`` test on every triple field, ``mask & closed_test``.
+
+    No carries. Each field receives at most one value per plane or role:
+    a pair has one slot, so it sits on one axis (a tensor's target, a
+    scheme's one matching holding it), which makes it one role of one
+    triple, and at most one axis holds both pairs of a split. So a field
+    sums at most ``_MINUS[0] + _MINUS[1] + _MINUS[2]`` = 52 < 64, whether
+    ``_pairs_mask`` adds one pair's values at a time or the census walk adds
+    the masks of a scheme's n axes: no sum carries into the next field, and
+    the int sum is the field-by-field sum.
 
     Plücker criterion. Write D_ij = a_i b_j - a_j b_i and let s_ij = +-1 be
     the sign of e_i x e_j (i < j) on the axis the pair sits on. Then
@@ -316,7 +339,7 @@ def _verdict(layout: _Layout, mask: int):
     D_ab D_cd - D_ac D_bd + D_ad D_bc = 0. Hence X_AB is the zero
     polynomial exactly when every 4-subset has (k0, k1, k2) proportional to
     (1, -1, 1), which for k in {-1, 0, 1} means all 0 or +-(1, -1, 1):
-    ``off`` of the split planes is 0.
+    no split field has an ``_OFF`` bit set.
 
     Total antisymmetry. (AxB).A = sum L[i,j,k] a_i b_j a_k, and L[i,j,i] = 0,
     so the coefficient of a_i a_k b_j (i != k) is L[i,j,k] + L[k,j,i]:
@@ -331,45 +354,39 @@ def _verdict(layout: _Layout, mask: int):
     and {x,y} on z, and with e = L[x,y,z] (role 2) total antisymmetry
     gives L[y,z,x] = e (role 0, an even permutation) and L[x,z,y] = -e
     (role 1, an odd one): the role signs are e(1, -1, 1). So orthogonality
-    holds identically exactly when ``off`` of the triple planes is 0. And
-    ``uneven`` of the triple planes is 0 exactly when the scheme is closed:
-    each pair {i,j} on axis k comes with {j,k} on axis i and {i,k} on
-    axis j.
+    holds identically exactly when no triple field has an ``_OFF`` bit set.
+    And no triple field has an ``_UNEVEN`` bit set exactly when the scheme
+    is closed: each pair {i,j} on axis k comes with {j,k} on axis i and
+    {i,k} on axis j.
 
     Under the canonical orientation e_lo x e_hi = -e_k exactly when
     lo < k < hi, so every present triple has role signs (1, -1, 1) and
     orthogonality_zero equals closed.
 
-    Witness. A 0/1 vector pair with X_AB != 0 is read off the lowest bit t
-    of the split planes' ``off``, by one table lookup on the split pattern
-    of t. On vectors supported on the 4-subset {a,b,c,d} of that bit only
-    its own three splits contribute, and the probes give, in this order,
-    (e_a+e_c, e_b+e_d): 2(k0-k2); (e_a+e_b, e_c+e_d): 2(k1+k2);
-    (e_a+e_d, e_b+e_c): -2(k0+k1). All three vanish only for
-    (k0, k1, k2) = (k, -k, k), which is not a breaking 4-subset, so every
-    pattern that reaches the lookup has an entry in ``first_probe``.
+    Witness. A 0/1 vector pair with X_AB != 0 is read off the split field
+    t of the lowest set bit of ``mask & xab_test``, the first breaking
+    4-subset, by one table lookup on its value. On vectors supported on the
+    4-subset {a,b,c,d} of t only its own three splits contribute, and the
+    probes give, in this order, (e_a+e_c, e_b+e_d): 2(k0-k2);
+    (e_a+e_b, e_c+e_d): 2(k1+k2); (e_a+e_d, e_b+e_c): -2(k0+k1). All three
+    vanish only for (k0, k1, k2) = (k, -k, k), which is not a breaking
+    4-subset. ``_PLUS`` and ``_MINUS`` weigh planes 0 and 2 alike, so a
+    field value stands for a pattern and its mirror (k2, k1, k0), whose
+    probe values are (-v0, -v2, -v1): both take probe 0 when v0 != 0, and
+    when v0 = 0, k0 = k2 and the mirror is the pattern itself. The one
+    other shared value, 18, is (0, -1, 0) and (1, 0, 1), and
+    both take probe 1. So ``first_probe`` names, for every breaking value,
+    the first nonzero probe of each pattern with that value, and every
+    value that reaches the lookup has an entry (tests/test_verify.py
+    checks all 27 patterns).
     """
-    # ``off`` above, per group: plane i of the splits is mask >> i*q & fq and
-    # plane i of the triples mask >> 6q + i*r & fr (``>>`` binds before
-    # ``&``, ``&`` before ``^`` and ``|``). ``off`` contains ``uneven``, so
-    # the triple signs are read only when the triples are even.
-    q, r, fq, fr = layout.q, layout.r, layout.split_full, layout.triple_full
-    w = 6 * q
-    p0, s0 = mask & fq, mask >> 3 * q & fq
-    xab_off = (
-        (p0 ^ mask >> q & fq)
-        | (p0 ^ mask >> 2 * q & fq)
-        | (s0 ^ mask >> 5 * q & fq)
-        | (mask >> 4 * q & fq ^ (p0 & ~s0))
-    )
-    p0, s0 = mask >> w & fr, mask >> w + 3 * r & fr
-    uneven = (p0 ^ mask >> w + r & fr) | (p0 ^ mask >> w + 2 * r & fr)
-    triple_off = uneven or (s0 ^ mask >> w + 5 * r & fr) | (mask >> w + 4 * r & fr ^ (p0 & ~s0))
+    closed = not mask & layout.closed_test
+    ortho_zero = not mask & layout.ortho_test
+    xab_off = mask & layout.xab_test
     if not xab_off:
-        return not uneven, not triple_off, True, None
-    t = (xab_off & -xab_off).bit_length() - 1
-    witness = layout.probes[t][layout.first_probe[mask >> t & layout.spread]]
-    return not uneven, not triple_off, False, witness
+        return closed, ortho_zero, True, None
+    t = ((xab_off & -xab_off).bit_length() - 1) // 6
+    return closed, ortho_zero, False, layout.probes[t][layout.first_probe[mask >> 6 * t & 63]]
 
 
 def tensor_verdict(
@@ -458,13 +475,14 @@ def census(
     Each record carries the scheme's verdict under the canonical
     orientation (see ``tensor_verdict``). No Scheme, StructureTensor or
     branch tuple is built: the exact-cover walk labels each matching with
-    its verdict mask and yields each scheme's sum of them, which is the OR
-    of its axis masks (``_matching_masks``), and ``_verdict`` reads that.
+    its verdict mask (``_matching_masks``) and yields each scheme's sum of
+    them, its whole verdict mask, and ``_verdict`` reads that.
     """
+    n = _check_dim(dim)
     limit = _check_limit(limit)
-    labels = _matching_masks(dim.n)  # first, to refuse too many matchings
-    layout = _layout(dim.n)
-    masks = enumerate_covers(_axis_choice_masks(dim.n), labels=labels)
+    labels = _matching_masks(n)  # first, to refuse too many matchings
+    layout = _layout(n)
+    masks = enumerate_covers(_axis_choice_masks(n), labels=labels)
     verdicts = map(_verdict, repeat(layout), islice(masks, limit))
     for scheme_id, verdict in enumerate(verdicts, 1):
         # tuple.__new__ skips the NamedTuple's Python-level __new__.

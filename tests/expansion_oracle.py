@@ -12,18 +12,89 @@ n^4 index 4-tuples, the oracle for the sparse ``verify.xab_tensor``.
 Both read the product through ``StructureTensor.lookup`` only, so they do
 not depend on how the tensor stores it.
 
+The rest are oracles for the verdict mask, one 6-bit field per 4-subset
+and per triple, to which split plane or triple role i adds ``PLUS[i]``
+with sign (product) +1 and ``MINUS[i]`` with -1. They spell out that
+encoding on their own and never read the package's field tables:
+
+``planes_of_fields`` decodes fields back to (k0, k1, k2) patterns, with a
+table built by brute force over all 27 patterns, and lays them out as
+three presence planes and three sign planes, the form on which
+``off_pattern``, the original pattern test, runs.
+
 ``decoded_witness`` is the oracle for the witness table lookup of
 ``verify._verdict``: it decodes the split coefficients of the breaking
-4-subset bit by bit and tries the three probes in order.
+4-subset bit by bit from those planes and tries the three probes in
+order.
 
-``verdict_two_tests`` is the oracle for the one inlined body of
-``verify._verdict``: the verdict as it was first computed, one
-``off_pattern`` call on the split planes and one on the triple planes,
-with the witness from ``decoded_witness``.
+``verdict_two_tests`` is the oracle for ``verify._verdict``: the verdict
+as it was first computed, one ``off_pattern`` call on the decoded split
+planes and one on the decoded triple planes, with the witness from
+``decoded_witness``.
 
-``matching_masks_one_bit_at_a_time`` is the oracle for the per-matching
-verdict masks of ``verify._matching_masks``, built one bit at a time.
+``matching_masks_one_field_at_a_time`` is the oracle for the per-matching
+verdict masks of ``verify._matching_masks``, each value added on its own
+at a field position computed from the 4-subset or triple itself.
 """
+
+from itertools import combinations, product
+
+# The field encoding: plane or role i adds PLUS[i] with sign (product) +1
+# and MINUS[i] with -1 to its field.
+PLUS, MINUS = (9, 2, 9), (17, 18, 17)
+PATTERNS = list(product((-1, 0, 1), repeat=3))
+EVEN_PATTERNS = ((0, 0, 0), (1, -1, 1), (-1, 1, -1))  # the patterns that pass
+
+
+def field_value(k):
+    """The field of pattern (k0, k1, k2): 0 = absent, else the sign."""
+    return sum(PLUS[i] if kp > 0 else MINUS[i] for i, kp in enumerate(k) if kp)
+
+
+def probe_values(k):
+    """X_AB, by the 4-subset formula, on the probes (e_a+e_c, e_b+e_d),
+    (e_a+e_b, e_c+e_d) and (e_a+e_d, e_b+e_c) of a 4-subset with split
+    coefficients k."""
+    k0, k1, k2 = k
+    return 2 * (k0 - k2), 2 * (k1 + k2), -2 * (k0 + k1)
+
+
+def pattern_answers(k):
+    """(uneven, off, first nonzero probe or None) of one pattern, straight
+    from its definition."""
+    present = sum(kp != 0 for kp in k)
+    first = next((i for i, v in enumerate(probe_values(k)) if v), None)
+    return 0 < present < 3, k not in EVEN_PATTERNS, first
+
+
+def _decoding():
+    """Field value -> one pattern with that value. Several patterns share
+    a value, so this holds only when they share every answer that the
+    verdict reads, which is checked here."""
+    table = {}
+    for k in PATTERNS:
+        table.setdefault(field_value(k), []).append(k)
+    for ks in table.values():
+        assert len({pattern_answers(k) for k in ks}) == 1, ks
+    return {value: ks[0] for value, ks in table.items()}
+
+
+DECODE = _decoding()
+
+
+def planes_of_fields(mask, first, count):
+    """Fields first..first+count-1 of ``mask`` as three presence planes and
+    three sign planes of ``count`` bits each: bit t of presence plane i
+    when k_i != 0 at field first+t, of sign plane i when k_i = -1. A field
+    value that no pattern has raises KeyError."""
+    group = 0
+    for t in range(count):
+        for plane, kp in enumerate(DECODE[mask >> 6 * (first + t) & 63]):
+            if kp:
+                group |= 1 << plane * count + t
+            if kp < 0:
+                group |= 1 << (3 + plane) * count + t
+    return group
 
 
 def product_table(tensor):
@@ -137,15 +208,15 @@ def xab_dense(tensor, a, b):
     return total
 
 
-def decoded_witness(layout, mask, off):
+def decoded_witness(layout, splits, off):
     """The witness of the lowest breaking 4-subset t of ``off``: decode
-    (k0, k1, k2) from the covered and sign planes of ``mask`` at t, then
+    (k0, k1, k2) from the covered and sign planes ``splits`` at t, then
     take the first of t's probes whose X_AB, 2(k0-k2), 2(k1+k2) or
     -2(k0+k1), is nonzero."""
     t = (off & -off).bit_length() - 1
     q = layout.q
     k0, k1, k2 = (
-        0 if not (mask >> bit) & 1 else (-1 if (mask >> (3 * q + bit)) & 1 else 1)
+        0 if not (splits >> bit) & 1 else (-1 if (splits >> (3 * q + bit)) & 1 else 1)
         for bit in (t, q + t, 2 * q + t)
     )
     for value, probe in zip((2 * (k0 - k2), 2 * (k1 + k2), -2 * (k0 + k1)), layout.probes[t]):
@@ -168,44 +239,56 @@ def off_pattern(group, w):
 
 def verdict_two_tests(layout, mask):
     """(closed, orthogonality_zero, xab_zero, witness) of a verdict mask by
-    two ``off_pattern`` calls, split planes and triple planes."""
-    xab_off = off_pattern(mask, layout.q)[1]
-    uneven, triple_off = off_pattern(mask >> 6 * layout.q, layout.r)
-    witness = decoded_witness(layout, mask, xab_off) if xab_off else None
+    two ``off_pattern`` calls, on the decoded split planes and the decoded
+    triple planes. A mask with bits above its q + r fields is refused."""
+    q, r = layout.q, layout.r
+    assert mask >> 6 * (q + r) == 0
+    splits = planes_of_fields(mask, 0, q)
+    xab_off = off_pattern(splits, q)[1]
+    uneven, triple_off = off_pattern(planes_of_fields(mask, q, r), r)
+    witness = decoded_witness(layout, splits, xab_off) if xab_off else None
     return not uneven, not triple_off, not xab_off, witness
 
 
-def matching_masks_one_bit_at_a_time(n):
-    """``verify._matching_masks(n)`` built as it first was, the oracle for
-    ``verify._pairs_mask``: per axis and matching, the pairs listed as
-    (slot, sign), and for each pair its triple-role bit and then the split
-    bit it makes with each later pair of the matching, each OR-ed in on
-    its own, with the sign bit OR-ed in after it for a negative sign or
-    two unequal signs."""
-    from oddcross.schemes import axis_matchings, feasible_dimension, pair_index
+def matching_masks_one_field_at_a_time(n):
+    """``verify._matching_masks(n)`` built from the encoding alone, the
+    oracle for ``verify._pairs_mask`` and ``verify._layout``: per axis and
+    matching, the pairs listed as (pair, sign), and for each pair the
+    value of its triple role, at field q + (index of its triple), and then
+    the value of the split it makes with each later pair of the matching,
+    at field (index of its 4-subset), each added on its own."""
+    from oddcross.schemes import axis_matchings, feasible_dimension
     from oddcross.tensor import orient_pair
-    from oddcross.verify import _layout
 
     dim = feasible_dimension(n)
-    layout = _layout(n)
-    split_neg, triple_neg = 3 * layout.q, 3 * layout.r
-    width = layout.pair_count
+    quads = {quad: t for t, quad in enumerate(combinations(range(n), 4))}
+    triples = {triple: t for t, triple in enumerate(combinations(range(n), 3))}
+    q = len(quads)
 
     def axis_mask(axis, pairs):
         mask = 0
-        for x, (p, s) in enumerate(pairs):
-            bit = layout.triple_bit[p * n + axis]
-            mask |= 1 << bit if s > 0 else (1 << bit) | (1 << (bit + triple_neg))
-            for p2, s2 in pairs[x + 1 :]:
-                bit = layout.split_bit[p * width + p2]
-                mask |= 1 << bit if s == s2 else (1 << bit) | (1 << (bit + split_neg))
+        for x, (pair, s) in enumerate(pairs):
+            triple = tuple(sorted(pair + (axis,)))
+            role = triple.index(axis)
+            value = PLUS[role] if s > 0 else MINUS[role]
+            mask += value << 6 * (q + triples[triple])
+            for pair2, s2 in pairs[x + 1 :]:
+                a, b, c, d = quad = tuple(sorted(pair + pair2))
+                plane = [{(a, b), (c, d)}, {(a, c), (b, d)}, {(a, d), (b, c)}].index(
+                    {pair, pair2}
+                )
+                value = PLUS[plane] if s == s2 else MINUS[plane]
+                mask += value << 6 * quads[quad]
         return mask
 
     return tuple(
         tuple(
             axis_mask(
                 axis - 1,
-                [(pair_index(n, p), 1 if orient_pair(p, axis) == p else -1) for p in m],
+                [
+                    ((p[0] - 1, p[1] - 1), 1 if orient_pair(p, axis) == p else -1)
+                    for p in m
+                ],
             )
             for m in axis_matchings(dim, axis)
         )

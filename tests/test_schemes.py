@@ -16,6 +16,7 @@ from oddcross import (
     ChoiceRangeError,
     Dimension,
     DimensionTooSmallError,
+    DimensionTypeError,
     DuplicatePairError,
     EvenDimensionError,
     FeasibilityError,
@@ -27,6 +28,7 @@ from oddcross import (
     Scheme,
     SchemeValidationError,
     SelfPairError,
+    StructureTensor,
     TooManyMatchingsError,
     axis_matchings,
     branch_scheme,
@@ -88,6 +90,34 @@ class TestFeasibility:
         assert [f.name for f in dataclasses.fields(Dimension)] == ["n"]
         assert Dimension(9).pairs_per_axis == 4
         assert feasible_dimension(9) == Dimension(9)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda dim: next(census(dim)),
+            lambda dim: next(enumerate_schemes(dim)),
+            lambda dim: next(scheme_branches(dim)),
+            lambda dim: StructureTensor(dim, [], []),
+            lambda dim: branch_scheme(dim, (0,) * 5),
+            lambda dim: axis_matchings(dim, 1),
+        ],
+        ids=[
+            "census",
+            "enumerate_schemes",
+            "scheme_branches",
+            "StructureTensor",
+            "branch_scheme",
+            "axis_matchings",
+        ],
+    )
+    @pytest.mark.parametrize("dim", [5, 5.0, None], ids=["int", "float", "None"])
+    def test_dimension_argument_must_be_a_dimension(self, call, dim):
+        # A bare n is refused up front as an OddCrossError, not left to fail
+        # as an AttributeError wherever dim.n happens to be read first.
+        with pytest.raises(DimensionTypeError, match="expected a Dimension") as caught:
+            call(dim)
+        assert isinstance(caught.value, OddCrossError)
+        assert isinstance(caught.value, TypeError)
 
 
 class TestAxisMatchings:

@@ -7,10 +7,16 @@ from fractions import Fraction
 import pytest
 from conftest import random_branch
 from expansion_oracle import (
+    EVEN_PATTERNS,
+    PATTERNS,
     classify_product_table,
     decoded_witness,
-    matching_masks_one_bit_at_a_time,
+    field_value,
+    matching_masks_one_field_at_a_time,
     off_pattern,
+    pattern_answers,
+    planes_of_fields,
+    probe_values,
     verdict_two_tests,
     xab_dense,
 )
@@ -41,6 +47,7 @@ from oddcross import (
 from oddcross.kernels import enumerate_covers
 from oddcross.reference import reference_schemes
 from oddcross.verify import (
+    _field_value,
     _layout,
     _matching_masks,
     _verdict,
@@ -298,7 +305,7 @@ class TestPluckerCriterion:
 
     @pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
     def test_matching_masks_match_one_bit_at_a_time(self, n):
-        assert _matching_masks(n) == matching_masks_one_bit_at_a_time(n)
+        assert _matching_masks(n) == matching_masks_one_field_at_a_time(n)
 
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_census_matches_expansion_oracle(self, n):
@@ -360,26 +367,26 @@ class TestPluckerCriterion:
         # witness that ``_verdict`` looks up is the one the bit-by-bit
         # decoding oracle gives, and X_AB on it is nonzero by the 4-subset
         # formula (only t's splits are covered).
-        breaking = k not in ((0, 0, 0), (1, -1, 1), (-1, 1, -1))
+        breaking = k not in EVEN_PATTERNS
         for n in (5, 7, 9):
             layout = _layout(n)
             q = layout.q
-            assert len(layout.first_probe) == 24  # 27 patterns less the three (k, -k, k)
+            # 16 field values, less 0 (no plane) and 36 (both of +-(1, -1, 1)).
+            assert sum(p is not None for p in layout.first_probe) == 14
             if n == 9:
                 assert (q, layout.r) == (126, 84)
             quads = list(itertools.combinations(range(n), 4))
             for t in range(q) if n < 9 else [q - 1]:
-                cov = sum(1 << (plane * q + t) for plane in range(3) if k[plane])
-                neg = sum(1 << (3 * q + plane * q + t) for plane in range(3) if k[plane] < 0)
-                mask = cov | neg
+                mask = field_value(k) << 6 * t
                 _, _, xab_zero, witness = _verdict(layout, mask)
                 assert xab_zero != breaking
                 if not breaking:
                     assert witness is None
                     continue
-                off = off_pattern(mask, q)[1]
+                splits = planes_of_fields(mask, 0, q)
+                off = off_pattern(splits, q)[1]
                 assert off == 1 << t
-                assert witness == decoded_witness(layout, mask, off)
+                assert witness == decoded_witness(layout, splits, off)
                 a, b = witness
                 assert set(a + b) <= {0, 1}
                 assert not any(a[i] or b[i] for i in range(n) if i not in quads[t])
@@ -399,12 +406,10 @@ class TestPluckerCriterion:
         # all 0 or +-(1, -1, 1), which is total antisymmetry of L on the
         # triple, checked here entry by entry.
         layout = _layout(5)
-        q, r = layout.q, layout.r
-        present = sum(1 << (6 * q + plane * r) for plane in range(3) if k[plane])
-        neg = sum(1 << (6 * q + 3 * r + plane * r) for plane in range(3) if k[plane] < 0)
-        closed, ortho_zero, xab_zero, witness = _verdict(layout, present | neg)
+        mask = field_value(k) << 6 * layout.q  # field q: the first triple
+        closed, ortho_zero, xab_zero, witness = _verdict(layout, mask)
         assert closed == (0 not in k or k == (0, 0, 0))
-        assert ortho_zero == (k in ((0, 0, 0), (1, -1, 1), (-1, 1, -1)))
+        assert ortho_zero == (k in EVEN_PATTERNS)
         assert (xab_zero, witness) == (True, None)
         entry = {(1, 2, 0): k[0], (0, 2, 1): k[1], (0, 1, 2): k[2]}
         entry.update({(j, i, m): -v for (i, j, m), v in list(entry.items())})
@@ -413,6 +418,38 @@ class TestPluckerCriterion:
             for (i, j, m), v in entry.items()
         )
         assert ortho_zero == antisymmetric
+
+    @pytest.mark.parametrize("k", PATTERNS)
+    def test_field_table(self, k):
+        # The field encoding, one pattern at a time (the argument is in
+        # ``_verdict``): as a split field and as a triple field, the value
+        # fits in 6 bits, the three masked ANDs give the verdict of the
+        # original plane test on planes built bit by bit from k, and a
+        # breaking value's ``first_probe`` entry is the first probe on which
+        # the 4-subset formula is nonzero for k.
+        value = _field_value(k)
+        assert value == field_value(k)
+        assert 0 <= value <= max(map(field_value, PATTERNS)) == 52 < 64
+        planes = sum(1 << i for i in range(3) if k[i])  # presence, bits 0..2
+        planes += sum(1 << 3 + i for i in range(3) if k[i] < 0)  # sign, bits 3..5
+        uneven, off = off_pattern(planes, 1)
+        assert (bool(uneven), bool(off)) == pattern_answers(k)[:2]
+        for n in (5, 9):
+            layout = _layout(n)
+            q, r = layout.q, layout.r
+            for t in (0, q - 1):
+                closed, ortho_zero, xab_zero, witness = _verdict(layout, value << 6 * t)
+                assert (closed, ortho_zero, xab_zero) == (True, True, not off)
+                assert (witness is None) == (not off)
+            for t in (q, q + r - 1):
+                verdict = _verdict(layout, value << 6 * t)
+                assert verdict == (not uneven, not off, True, None)
+        first = _layout(5).first_probe[value]
+        if off:
+            assert first == pattern_answers(k)[2]
+            assert probe_values(k)[first] != 0
+        else:
+            assert first is None
 
     @pytest.mark.parametrize(
         "flips",
@@ -502,22 +539,32 @@ class TestPluckerCriterion:
 
 class TestCensusWalk:
     """The census walk labels each matching with its verdict mask and sums
-    them, and ``_verdict`` reads the sum in one inlined body."""
+    them, and ``_verdict`` reads the sum with three masked ANDs."""
 
     @pytest.mark.parametrize("n,count", [(3, 1), (5, 6), (7, 6240), (9, 20_000)])
     def test_summed_labels_are_the_or_of_the_axis_masks(self, n, count):
-        # Every scheme at n <= 7, the first 20,000 at n=9; the masks of one
-        # scheme's axes are pairwise disjoint, which is why the sum is the OR.
+        # Every scheme at n <= 7, the first 20,000 at n=9: the walk's sum is
+        # the field-by-field sum of the scheme's axis labels, with no field
+        # above 63. Each label is also laid out with its 6-bit fields in
+        # 12-bit slots, where the n labels of a scheme add without any carry
+        # out of a slot; no slot of that sum above 63 means no field sum
+        # above 63, and then the field-by-field sum is the plain int sum.
         labels = _matching_masks(n)
+        layout = _layout(n)
+        fields = layout.q + layout.r
+        high = sum(0b111111_000000 << 12 * f for f in range(fields))
+
+        def wide(label):
+            assert label >> 6 * fields == 0
+            return sum((label >> 6 * f & 63) << 12 * f for f in range(fields))
+
+        wide_labels = [[wide(label) for label in axis_labels] for axis_labels in labels]
         sums = enumerate_covers(_axis_choice_masks(n), labels=labels)
         branches = scheme_branches(feasible_dimension(n), limit=count)
         seen = 0
         for total, branch in zip(sums, branches):
-            ored = 0
-            for axis_labels, choice in zip(labels, branch):
-                assert not ored & axis_labels[choice]
-                ored |= axis_labels[choice]
-            assert total == ored
+            assert not sum(map(lambda w, c: w[c], wide_labels, branch)) & high
+            assert total == sum(map(lambda lab, c: lab[c], labels, branch))
             seen += 1
         assert seen == count
 
@@ -532,31 +579,27 @@ class TestCensusWalk:
     def test_verdict_matches_two_pattern_tests_on_random_masks(self, n):
         # Each 4-subset and each triple gets a pattern (k0, k1, k2): all 0,
         # +-(1, -1, 1), or, with probability ``breaking``, any of the 27, so
-        # that zero and nonzero verdicts, closed and not, all occur. A sign
-        # bit is set only with its presence bit, as in every verdict mask.
+        # that zero and nonzero verdicts, closed and not, all occur. The
+        # oracle decodes each field back to a pattern and runs the original
+        # pattern test on planes.
         rng = random.Random(n)
         layout = _layout(n)
         q, r = layout.q, layout.r
-        patterns = list(itertools.product((-1, 0, 1), repeat=3))
 
         def group(w, breaking):
-            bits = 0
+            fields = 0
             for t in range(w):
                 if rng.random() < breaking:
-                    k = rng.choice(patterns)
+                    k = rng.choice(PATTERNS)
                 else:
-                    k = rng.choice([(0, 0, 0), (1, -1, 1), (-1, 1, -1)])
-                for plane, kp in enumerate(k):
-                    if kp:
-                        bits |= 1 << plane * w + t
-                    if kp < 0:
-                        bits |= 1 << (3 + plane) * w + t
-            return bits
+                    k = rng.choice(EVEN_PATTERNS)
+                fields += field_value(k) << 6 * t
+            return fields
 
         verdicts = set()
         for breaking in (0.0, 0.01, 0.1, 0.5):
             for _ in range(100):
-                mask = group(q, breaking) | group(r, breaking) << 6 * q
+                mask = group(q, breaking) + (group(r, breaking) << 6 * q)
                 verdict = _verdict(layout, mask)
                 assert verdict == verdict_two_tests(layout, mask)
                 verdicts.add(verdict[:3])
