@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 import time
@@ -36,9 +37,12 @@ def _parse_vector(text: str) -> tuple:
             components.append(int(token))
         except ValueError:
             try:
-                components.append(float(token))
+                value = float(token)
             except ValueError:
                 raise OddCrossError(f"bad vector component {token!r}") from None
+            if not math.isfinite(value):  # nan, inf, or a float that overflows: 1e400
+                raise OddCrossError(f"bad vector component {token!r}: not a finite number")
+            components.append(value)
     return tuple(components)
 
 

@@ -22,8 +22,11 @@ The walk checks forward (Haralick & Elliott, *Artif. Intell.* 14 (1980)
 for each axis it will still walk, the ascending list of candidates that
 are disjoint from its picks. Picking a candidate filters each later list
 by the new mask, and a child whose filter leaves a list empty is pruned:
-no completion exists below it. Identity classification is decided in
-``oddcross.verify`` by the Plücker criterion.
+no completion exists below it. The last two walked axes, n-4 and n-3,
+share one frame: a node at axis n-4 loops over the axis-(n-3) candidates
+disjoint from each of its picks and yields the tails below them itself,
+with no child generator and no child list. Identity classification is
+decided in ``oddcross.verify`` by the Plücker criterion.
 """
 
 import sys
@@ -115,9 +118,17 @@ def enumerate_covers(axis_masks, prefix=(), labels=None):
     plain scan would descend into, in the same order, and the stream is
     the scan's. A child with an empty list has no cover below it, since
     every cover below it needs a pick on that axis disjoint from its
-    picks; pruning it loses no branch. The last walked axis, n-3, goes
-    straight from each listed candidate to ``_Tails``, and adds that
-    candidate's label once for all the tails below it.
+    picks; pruning it loses no branch.
+
+    The last two walked axes, n-4 and n-3, are walked in one frame. For
+    each listed candidate c of axis n-4, with mask m, the node loops over
+    its own axis-(n-3) list and keeps the candidates disjoint from m: those
+    are exactly the ones the child's filter would keep, in the same order,
+    so the stream is still the scan's, and where the filter would leave
+    the list empty the loop yields nothing, as the pruned child did. Each
+    kept candidate goes straight to ``_Tails``, and each label is added
+    once for all the tails below it. A walk that starts at axis n-3 (a
+    prefix of length n-3, or n=3) loops over its one list the same way.
 
     No carries for the census labels, the verdict masks of
     ``verify._matching_masks``. Each is a row of 6-bit fields, one per
@@ -174,11 +185,25 @@ def _walk(axis_masks, labels, d, branch, rest, lists, tails):
     # not a closure: a recursive closure is a reference cycle that would keep
     # the memo and the lists alive until the cyclic GC runs.
     masks, label = axis_masks[d], labels[d]
-    if len(lists) == 1:
+    if len(lists) == 1:  # a walk that starts at axis n-3
         for c in lists[0]:
             head = branch + label[c]
             for tail in tails[rest ^ masks[c]]:
                 yield head + tail
+        return
+    if len(lists) == 2:  # axes n-4 and n-3, in this one frame
+        last_masks, last_label = axis_masks[d + 1], labels[d + 1]
+        last_candidates = lists[1]
+        for c in lists[0]:
+            mask = masks[c]
+            head = branch + label[c]
+            left = rest ^ mask
+            for x in last_candidates:
+                last_mask = last_masks[x]
+                if not last_mask & mask:
+                    last_head = head + last_label[x]
+                    for tail in tails[left ^ last_mask]:
+                        yield last_head + tail
         return
     later = list(zip(axis_masks[d + 1 :], lists[1:]))
     for c in lists[0]:

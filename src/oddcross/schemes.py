@@ -127,13 +127,32 @@ class Matching(tuple):
     """The disjoint pairs of one axis, as a tuple of pairs.
 
     A matching does not store its axis: ``scheme[k-1]`` is the matching
-    of axis k.
+    of axis k. Nothing else is stored but the cached ``line`` (a
+    ``functools.cached_property``), as a ``Scheme`` caches ``slots``.
     """
 
-    __slots__ = ()
+    def __setattr__(self, name, value):
+        # ``line`` caches into the instance dict directly, not through here.
+        raise AttributeError(f"cannot set {name!r}: a Matching is immutable")
 
     def __str__(self) -> str:
         return " ".join(map(str, self))
+
+    @cached_property
+    def line(self) -> str:
+        """The text line ``"{axis}: {pairs}\\n"`` of ``textio.emit_scheme_text``.
+
+        The line depends on the matching alone. The k-th matching of a
+        ``Scheme`` (checked when built, or an exact cover of the walk) is a
+        perfect matching of {1..n} minus its axis k: its pairs are disjoint
+        and hold every index of 1..n except k. So they hold n - 1 indices,
+        n = 2 * len(matching) + 1, and k is the one index of 1..n they
+        miss, n(n+1)/2 minus the sum of their members. Two equal matchings
+        have the same pairs, hence the same line; each computes its own.
+        """
+        n = 2 * len(self) + 1
+        axis = n * (n + 1) // 2 - sum(map(sum, self))
+        return f"{axis}: {self}\n"
 
 
 @lru_cache(maxsize=None)

@@ -18,47 +18,16 @@ from __future__ import annotations
 import json
 import os
 import sys
-from operator import index
+from operator import attrgetter, index
 from typing import Optional
 
 from .errors import SchemeSyntaxError, SchemeValidationError
-from .schemes import Matching, Scheme, validate_scheme
+from .schemes import Scheme, validate_scheme
 
 
-class _MatchingLines(dict):
-    """Matching -> its text line ``"{axis}: {pairs}\n"``, built on first use.
-
-    The line depends on the matching alone. The k-th matching of a
-    ``Scheme`` (checked when built, or an exact cover of the walk) is a
-    perfect matching of {1..n} minus its axis k: its pairs are disjoint and
-    hold every index of 1..n except k. So they hold n - 1 indices,
-    n = 2 * len(matching) + 1, and k is the one index of 1..n they miss,
-    n(n+1)/2 minus the sum of their members. Two equal matchings have the
-    same pairs, hence the same n, axis and line, so the axis is not part
-    of the key. The emitters take only a Scheme, whose matchings are all
-    Matchings of Pairs, so every key formats as a Matching does: a plain
-    tuple equal to a Matching would share its entry but format otherwise.
-
-    An n=9 stream draws its lines from 9 x 105 matchings. The table is
-    cleared when it is full, at 2**14 lines, before it takes another, so
-    emitting large-n schemes (10,395 matchings per axis at n=13) keeps it
-    bounded.
-    """
-
-    __slots__ = ()
-    bound = 2**14
-
-    def __missing__(self, matching: Matching) -> str:
-        n = 2 * len(matching) + 1
-        axis = n * (n + 1) // 2 - sum(map(sum, matching))
-        if len(self) >= self.bound:
-            self.clear()
-        line = self[matching] = f"{axis}: {matching}\n"
-        return line
-
-
-_matching_lines = _MatchingLines()
-_line = _matching_lines.__getitem__
+# Each Matching caches its own line (``Matching.line``): an n=9 stream
+# draws its lines from 9 x 105 matchings, each formatted once.
+_line = attrgetter("line")
 
 _encode_json = json.JSONEncoder(separators=(",", ":")).encode
 

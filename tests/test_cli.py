@@ -240,6 +240,17 @@ class TestErrors:
         assert code == 1
         assert "bad vector component" in err
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("bad_b", [False, True])
+    def test_non_finite_vector_component(self, capsys, bad_b, token):
+        # 1e400 reads as inf. The token is not first, so "-inf" is no option.
+        good, bad = "0,1,0,0,0", f"0,{token},0,0,0"
+        a, b = (good, bad) if bad_b else (bad, good)
+        code, out, err = run(capsys, "cross", "--scheme", ROW3_5D, "-n", "5", "-A", a, "-B", b)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: bad vector component {token!r}: not a finite number\n"
+
     def test_bad_limit(self, capsys):
         code, _, err = run(capsys, "enumerate", "-n", "5", "--limit", "0")
         assert code == 1

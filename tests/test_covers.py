@@ -1,11 +1,12 @@
 """The exact-cover walk against the plain scan of ``covers_oracle``.
 
 The kernel carries each later axis's free candidates down the walk
-(forward checking) and looks up the last two axes in a per-call memo
-instead of scanning them; these streams must equal the oracle's branch for
-branch, in the same order, for full walks, prefixes that stop before, at
-and past the tail depth, prefixes below which an axis has no candidate
-left, and generators that run interleaved.
+(forward checking), finishes the last two walked axes in one frame and
+looks up the last two axes in a per-call memo instead of scanning them;
+these streams must equal the oracle's branch for branch, in the same
+order, for full walks, prefixes of every length around the tail depth
+(under index, ``Matching`` and verdict-mask labels), prefixes below which
+an axis has no candidate left, and generators that run interleaved.
 """
 
 import gc
@@ -13,11 +14,13 @@ import itertools
 import random
 import sys
 import weakref
+from operator import getitem
 
 import pytest
 
-from oddcross import feasible_dimension, kernels
-from oddcross.schemes import _axis_choice_masks, scheme_branches
+from oddcross import branch_scheme, feasible_dimension, kernels
+from oddcross.schemes import _axis_choice_masks, _axis_matchings, scheme_branches
+from oddcross.verify import _matching_masks
 
 import covers_oracle
 from conftest import random_branch
@@ -39,17 +42,43 @@ def test_every_prefix_n5(dim5):
         assert list(scheme_branches(dim5, prefix=prefix)) == oracle_branches(5, prefix)
 
 
-def test_prefixes_around_tail_depth_n7(dim7):
-    # Lengths n-2 (the lookup starts at once), n-1 and n (plain scan), cut
-    # from seeded branches, plus in-range prefixes that mostly conflict.
-    rng = random.Random(7)
-    branches = [random_branch(7, rng) for _ in range(20)]
-    prefixes = {b[:length] for b in branches for length in (5, 6, 7)}
+def check_prefixes_under_every_label(n, lengths, seed):
+    """Prefixes of the given lengths, cut from seeded branches, plus random
+    in-range prefixes (the longer ones mostly conflict), walked with each
+    kind of label against the oracle's branches: indices, ``Matching``
+    1-tuples (each cover the branch's scheme) and verdict masks (each cover
+    the int sum of the branch's masks)."""
+    dim = feasible_dimension(n)
+    masks = _axis_choice_masks(n)
+    matchings = [tuple((m,) for m in _axis_matchings(n, axis)) for axis in range(1, n + 1)]
+    verdicts = _matching_masks(n)
+    rng = random.Random(seed)
+    branches = [random_branch(n, rng) for _ in range(20)]
+    prefixes = {b[:length] for b in branches for length in lengths}
     prefixes |= {
-        tuple(rng.randrange(15) for _ in range(length)) for length in (5, 6, 7) for _ in range(20)
+        tuple(rng.randrange(len(masks[d])) for d in range(length))
+        for length in lengths
+        for _ in range(20)
     }
     for prefix in sorted(prefixes):
-        assert list(scheme_branches(dim7, prefix=prefix)) == oracle_branches(7, prefix)
+        want = oracle_branches(n, prefix)
+        assert list(scheme_branches(dim, prefix=prefix)) == want
+        schemes = [branch_scheme(dim, branch) for branch in want]
+        assert list(kernels.enumerate_covers(masks, prefix, matchings)) == schemes
+        sums = [sum(map(getitem, verdicts, branch)) for branch in want]
+        assert list(kernels.enumerate_covers(masks, prefix, verdicts)) == sums
+
+
+def test_prefixes_around_tail_depth_n7():
+    # Every length: 0-2 walk down to axis n-4, 3 (n-4) starts at the
+    # two-axis loop, 4 (n-3) at the one-axis loop, 5 (n-2) at the lookup,
+    # 6 and 7 scan the last axis or yield the prefix itself.
+    check_prefixes_under_every_label(7, range(8), seed=7)
+
+
+def test_prefixes_around_tail_depth_n9():
+    # Length 5 (n-4) starts at the two-axis loop, 6 (n-3) at the one-axis loop.
+    check_prefixes_under_every_label(9, (5, 6), seed=9)
 
 
 @pytest.mark.parametrize("first", [0, 52, 104])
@@ -153,7 +182,9 @@ def test_candidate_lists_die_with_the_walk():
             walks.append(weakref.ref(gen))
             found.update((id(x), x) for x in gen.gi_frame.f_locals["lists"])
             gen = gen.gi_yieldfrom
-        assert len(walks) == 7  # enumerate_covers, then _walk at axes 1..6 (0-based)
+        # enumerate_covers, then _walk at axes 1..5 (0-based): the walk at
+        # axis 5, n-4, finishes axes 5 and 6 in its own frame.
+        assert len(walks) == 6
         held = [[], *found.values()]  # held[0] is a control: only ``held`` refers to it
         del found, gen
         counts = [sys.getrefcount(x) for x in held]

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -315,8 +317,8 @@ def old_matching_line(axis, matching):
 
 
 class TestMatchingLines:
-    """Each matching's text line is cached under the matching alone: its
-    axis is the one index of 1..2*len+1 that its pairs miss."""
+    """Each matching caches its own text line: its axis is the one index of
+    1..2*len+1 that its pairs miss."""
 
     @pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
     def test_every_matching_gets_its_old_line(self, n):
@@ -334,18 +336,43 @@ class TestMatchingLines:
                 assert hand == matching and hand is not matching
                 assert textio._line(hand) == old_matching_line(axis, matching)
 
-    def test_table_stays_bounded(self):
-        # The 20,790 matchings of axes 1 and 2 of n=13, from an empty table.
-        table = textio._matching_lines
-        table.clear()
-        dim = feasible_dimension(13)
-        largest = 0
-        for axis in (1, 2):
+    def test_line_is_computed_once(self):
+        dim = feasible_dimension(7)
+        for axis in range(1, 8):
             for matching in axis_matchings(dim, axis):
-                assert textio._line(matching) == old_matching_line(axis, matching)
-                largest = max(largest, len(table))
-                assert len(table) <= table.bound == 2**14
-        assert largest == 2**14 and len(table) == 20_790 - 2**14
+                line = matching.line
+                assert matching.line is line
+                assert vars(matching) == {"line": line}
+
+    def test_hand_built_matching_computes_its_own_line(self):
+        matching = axis_matchings(feasible_dimension(9), 4)[50]
+        hand = Matching(Pair(lo, hi) for lo, hi in matching)
+        assert hand == matching and "line" not in vars(hand)
+        assert hand.line == matching.line == old_matching_line(4, matching)
+        assert hand.line is not matching.line
+
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize("name", ["line", "axis", "__dict__"])
+    def test_attributes_cannot_be_set(self, cached, name):
+        matching = Matching((Pair(2, 3), Pair(4, 5)))
+        if cached:
+            matching.line
+        with pytest.raises(AttributeError, match="a Matching is immutable"):
+            setattr(matching, name, "1: 2-3 4-5\n")
+        assert vars(matching) == ({"line": "1: 2-3 4-5\n"} if cached else {})
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_pickle_and_copy_keep_type_equality_and_line(self, cached):
+        matching = Matching((Pair(1, 4), Pair(2, 5), Pair(3, 7), Pair(6, 8), Pair(9, 10)))
+        if cached:
+            matching.line
+        rebuilt = [pickle.loads(pickle.dumps(matching, protocol)) for protocol in range(6)]
+        rebuilt += [copy.copy(matching), copy.deepcopy(matching)]
+        for twin in rebuilt:
+            assert type(twin) is Matching and twin == matching
+            assert all(type(pair) is Pair for pair in twin)
+            assert vars(twin) == vars(matching)
+            assert twin.line == "11: 1-4 2-5 3-7 6-8 9-10\n"
 
     @pytest.mark.parametrize("kind", [tuple, list])
     def test_emitters_take_only_a_scheme(self, scheme5_row3, kind):
