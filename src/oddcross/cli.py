@@ -24,8 +24,8 @@ from .schemes import (
 from .tensor import build_tensor
 from .textio import emit_scheme_json, emit_scheme_text, load_scheme
 from .verify import (
-    _layout, _matching_masks, census, defect_report, format_witness, tensor_verdict,
-    write_census_csv, xab_direct,
+    _layout, _matching_masks, _xab_of_cross, census, defect_report, format_witness,
+    tensor_verdict, write_census_csv,
 )
 
 
@@ -136,8 +136,18 @@ def _cmd_cross(args) -> int:
     tensor = build_tensor(scheme)
     a = _parse_vector(args.vector_a)
     b = _parse_vector(args.vector_b)
-    print(f"A x B = {format_combination(tensor.cross(a, b))}")
-    print(f"X_AB = {_format_number(xab_direct(tensor, a, b))}")
+    # Finite float inputs can still overflow: a product reads inf, inf - inf
+    # reads nan, and a float ``**`` or an int too large for a float raises.
+    try:
+        c = tensor.cross(a, b)
+        xab = _xab_of_cross(c, a, b)
+        finite = all(isinstance(v, int) or math.isfinite(v) for v in (*c, xab))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise OddCrossError("A x B or X_AB overflows the float range: not a finite number")
+    print(f"A x B = {format_combination(c)}")
+    print(f"X_AB = {_format_number(xab)}")
     return 0
 
 

@@ -90,12 +90,8 @@ class SchemeTensorMismatchError(OddCrossError):
 
 
 class SchemeSyntaxError(OddCrossError):
-    """Unparseable scheme text; carries the offending position."""
+    """Unparseable scheme text; carries the offending line, when known."""
 
-    def __init__(self, message, line=None, column=None):
+    def __init__(self, message, line=None):
         self.line = line
-        self.column = column
-        where = ""
-        if line is not None:
-            where = f" (line {line}" + (f", column {column})" if column is not None else ")")
-        super().__init__(message + where)
+        super().__init__(message if line is None else f"{message} (line {line})")

@@ -80,12 +80,17 @@ def enumerate_covers(axis_masks, prefix=(), labels=None):
     ``type(label)()``. By default the label of c is ``(c,)``, so a branch
     is yielded as the tuple of its candidate indices.
 
-    ``prefix`` pins the first choices, so the walk starts at axis
-    ``len(prefix)`` and yields exactly the branches that begin with it.
+    ``prefix`` pins the first choices, and the call yields exactly the
+    branches that begin with it. Every prefix length, up to a whole branch,
+    takes the same walk: the choices on the walked axes 0..n-3 are picked
+    at the root, the walk starts at axis ``min(len(prefix), n-2)``, and a
+    choice on axis n-2 or n-1 pins that axis's candidates in the tails.
     Every prefix choice is checked before the walk; one that is not an int
     of ``0..len(candidates)-1`` raises ChoiceRangeError, and an int-like
     choice (``True``, a numpy integer) is walked as the int it stands for.
-    A prefix whose choices share a pair yields nothing.
+    A prefix whose choices share a pair yields nothing: a clash among the
+    walked picks ends the call at the root, and a pinned choice that
+    clashes finds no tail.
 
     Precondition (exact cover): the candidates of an axis are distinct
     masks, every candidate has the same number of bits, and the number of
@@ -101,11 +106,15 @@ def enumerate_covers(axis_masks, prefix=(), labels=None):
     ``rest = full ^ used``. Hence ``m1`` is a penultimate candidate inside
     ``rest`` and ``m2 == rest ^ m1`` is a last-axis candidate. Conversely
     every such pair is disjoint from ``used`` and from each other, so it
-    completes the branch. ``_Tails`` lists the label sums of these pairs
-    in ``(c1, c2)`` order, the order of the plain scan, and memoises them
-    per ``rest`` for the length of one call. For the same reason a prefix
-    of length n-1 has one completion at most: a last pick disjoint from
-    ``used`` has as many bits as ``rest``, so it is ``rest``.
+    completes the branch. ``_Tails`` keeps only the candidates the call
+    allows on those two axes: all of them, or the prefix's choice where
+    the prefix reaches the axis. A cover that begins with the prefix has
+    allowed picks ``m1`` and ``m2`` there, ``m1`` inside ``rest`` and
+    ``m2 == rest ^ m1``; conversely each such allowed pair completes the
+    branch. The allowed lists ascend, so ``_Tails`` lists the label sums
+    of these pairs in ``(c1, c2)`` order, the order of the plain scan. It
+    memoises them per ``rest`` for the length of one call; the pins are
+    fixed for the call, so ``rest`` alone is the key.
 
     The axes before those two, down to axis n-3, are walked with forward
     checking. Invariant: a node at axis d whose picks use ``used`` holds,
@@ -127,8 +136,7 @@ def enumerate_covers(axis_masks, prefix=(), labels=None):
     so the stream is still the scan's, and where the filter would leave
     the list empty the loop yields nothing, as the pruned child did. Each
     kept candidate goes straight to ``_Tails``, and each label is added
-    once for all the tails below it. A walk that starts at axis n-3 (a
-    prefix of length n-3, or n=3) loops over its one list the same way.
+    once for all the tails below it.
 
     No carries for the census labels, the verdict masks of
     ``verify._matching_masks``. Each is a row of 6-bit fields, one per
@@ -148,35 +156,29 @@ def enumerate_covers(axis_masks, prefix=(), labels=None):
     prefix = tuple(_check_choice(axis_masks, d, choice) for d, choice in enumerate(prefix))
     if not all(axis_masks):
         return  # an axis without candidates: no cover, and no label to sum
+    depth = min(len(prefix), n_axes - 2)
+    walked = prefix[:depth]
     used = 0
-    for d, choice in enumerate(prefix):
+    for d, choice in enumerate(walked):
         mask = axis_masks[d][choice]
         if mask & used:
             return
         used |= mask
     if labels is None:
         labels = [_index_labels(len(masks)) for masks in axis_masks]
-    branch = sum(map(getitem, labels, prefix), type(labels[0][0])())
+    branch = sum(map(getitem, labels, walked), type(labels[0][0])())
 
-    tails = _Tails(axis_masks, labels)
-    rest = tails.full ^ used
-    depth = len(prefix)
-    if depth == n_axes:
-        yield branch
-    elif depth == n_axes - 1:
-        last = tails.last_index.get(rest)
-        if last is not None:
-            yield branch + labels[-1][last]
-    elif depth == n_axes - 2:
-        for tail in tails[rest]:
-            yield branch + tail
-    else:
-        lists = [
-            [c for c, mask in enumerate(masks) if not mask & used] if used else range(len(masks))
-            for masks in axis_masks[depth:-2]
-        ]
-        if all(lists):
-            yield from _walk(axis_masks, labels, depth, branch, rest, lists, tails)
+    penultimate, last = (
+        [prefix[d]] if d < len(prefix) else range(len(axis_masks[d]))
+        for d in (n_axes - 2, n_axes - 1)
+    )
+    tails = _Tails(axis_masks, labels, penultimate, last)
+    lists = [
+        [c for c, mask in enumerate(masks) if not mask & used] if used else range(len(masks))
+        for masks in axis_masks[depth:-2]
+    ]
+    if all(lists):
+        yield from _walk(axis_masks, labels, depth, branch, tails.full ^ used, lists, tails)
 
 
 def _walk(axis_masks, labels, d, branch, rest, lists, tails):
@@ -184,13 +186,11 @@ def _walk(axis_masks, labels, d, branch, rest, lists, tails):
     # no pick uses yet and ``branch`` the label sum of the picks. Module-level,
     # not a closure: a recursive closure is a reference cycle that would keep
     # the memo and the lists alive until the cyclic GC runs.
-    masks, label = axis_masks[d], labels[d]
-    if len(lists) == 1:  # a walk that starts at axis n-3
-        for c in lists[0]:
-            head = branch + label[c]
-            for tail in tails[rest ^ masks[c]]:
-                yield head + tail
+    if not lists:  # axis n-2: the tails complete the branch
+        for tail in tails[rest]:
+            yield branch + tail
         return
+    masks, label = axis_masks[d], labels[d]
     if len(lists) == 2:  # axes n-4 and n-3, in this one frame
         last_masks, last_label = axis_masks[d + 1], labels[d + 1]
         last_candidates = lists[1]
@@ -222,12 +222,14 @@ def _walk(axis_masks, labels, d, branch, rest, lists, tails):
 
 class _Tails(dict):
     """Per call: ``rest`` -> the label sums of the picks ``(c1, c2)`` of the
-    last two axes covering it."""
+    last two axes covering it, with ``c1`` in ``penultimate`` and ``c2`` in
+    ``last``, the ascending candidates the call allows on those axes."""
 
-    def __init__(self, axis_masks, labels):
+    def __init__(self, axis_masks, labels, penultimate, last):
         super().__init__()
-        self.penultimate = axis_masks[-2]
-        self.last_index = {mask: c for c, mask in enumerate(axis_masks[-1])}
+        masks1, masks2 = axis_masks[-2], axis_masks[-1]
+        self.penultimate = [(c1, masks1[c1]) for c1 in penultimate]
+        self.last_index = {masks2[c2]: c2 for c2 in last}
         self.labels = labels[-2], labels[-1]
         self.full = 0
         for masks in axis_masks:
@@ -239,7 +241,7 @@ class _Tails(dict):
         labels1, labels2 = self.labels
         found = self[rest] = tuple(
             labels1[c1] + labels2[last_index[rest ^ mask]]
-            for c1, mask in enumerate(self.penultimate)
+            for c1, mask in self.penultimate
             if mask & rest == mask and rest ^ mask in last_index
         )
         return found

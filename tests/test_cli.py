@@ -96,6 +96,16 @@ class TestCommands:
         assert code == 0
         assert "A x B = " in out
 
+    def test_cross_exact_ints_stay_exact(self, capsys):
+        big = 10**90
+        code, out, _ = run(
+            capsys,
+            "cross", "--scheme", ROW3_5D, "-n", "5",
+            "-A", f"{big},1,0,0,0", "-B", "0,1,0,0,1",
+        )
+        assert code == 0
+        assert out == f"A x B = -e3 - {big}*e4 + {big}*e5\nX_AB = 0\n"
+
     def test_verify_identity_scheme(self, capsys):
         code, out, _ = run(capsys, "verify", "--scheme", ROW11_7D, "-n", "7")
         assert code == 0
@@ -250,6 +260,21 @@ class TestErrors:
         assert code == 1
         assert out == ""
         assert err == f"error: bad vector component {token!r}: not a finite number\n"
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ("0.5,1,0,0,0", "0,1,0,0,1e300"),  # finite A x B, but X_AB reads nan
+            ("1e200,1,0,0,0", "0,1e200,0,0,1"),  # A x B holds inf; (A.B)**2 raises
+            (f"{10**400},1,0,0,0", "0,0.5,0,0,1"),  # an int too large for a float
+        ],
+        ids=["nan", "inf", "int"],
+    )
+    def test_cross_overflow(self, capsys, a, b):
+        code, out, err = run(capsys, "cross", "--scheme", ROW3_5D, "-n", "5", "-A", a, "-B", b)
+        assert code == 1
+        assert out == ""
+        assert err == "error: A x B or X_AB overflows the float range: not a finite number\n"
 
     def test_bad_limit(self, capsys):
         code, _, err = run(capsys, "enumerate", "-n", "5", "--limit", "0")

@@ -3,10 +3,12 @@
 The kernel carries each later axis's free candidates down the walk
 (forward checking), finishes the last two walked axes in one frame and
 looks up the last two axes in a per-call memo instead of scanning them;
-these streams must equal the oracle's branch for branch, in the same
+a prefix that reaches those axes pins their candidates in the memo.
+These streams must equal the oracle's branch for branch, in the same
 order, for full walks, prefixes of every length around the tail depth
-(under index, ``Matching`` and verdict-mask labels), prefixes below which
-an axis has no candidate left, and generators that run interleaved.
+(under index, ``Matching`` and verdict-mask labels), the prefixes of one
+length taken together, prefixes below which an axis has no candidate
+left, and generators that run interleaved.
 """
 
 import gc
@@ -36,31 +38,16 @@ def test_full_stream(n):
     assert list(scheme_branches(feasible_dimension(n))) == oracle_branches(n)
 
 
-def test_every_prefix_n5(dim5):
-    prefixes = [p for length in range(6) for p in itertools.product(range(3), repeat=length)]
-    for prefix in prefixes:
-        assert list(scheme_branches(dim5, prefix=prefix)) == oracle_branches(5, prefix)
-
-
-def check_prefixes_under_every_label(n, lengths, seed):
-    """Prefixes of the given lengths, cut from seeded branches, plus random
-    in-range prefixes (the longer ones mostly conflict), walked with each
-    kind of label against the oracle's branches: indices, ``Matching``
-    1-tuples (each cover the branch's scheme) and verdict masks (each cover
-    the int sum of the branch's masks)."""
+def check_under_every_label(n, prefixes):
+    """Walk each prefix with each kind of label against the oracle's
+    branches: indices, ``Matching`` 1-tuples (each cover the branch's
+    scheme) and verdict masks (each cover the int sum of the branch's
+    masks)."""
     dim = feasible_dimension(n)
     masks = _axis_choice_masks(n)
     matchings = [tuple((m,) for m in _axis_matchings(n, axis)) for axis in range(1, n + 1)]
     verdicts = _matching_masks(n)
-    rng = random.Random(seed)
-    branches = [random_branch(n, rng) for _ in range(20)]
-    prefixes = {b[:length] for b in branches for length in lengths}
-    prefixes |= {
-        tuple(rng.randrange(len(masks[d])) for d in range(length))
-        for length in lengths
-        for _ in range(20)
-    }
-    for prefix in sorted(prefixes):
+    for prefix in prefixes:
         want = oracle_branches(n, prefix)
         assert list(scheme_branches(dim, prefix=prefix)) == want
         schemes = [branch_scheme(dim, branch) for branch in want]
@@ -69,16 +56,67 @@ def check_prefixes_under_every_label(n, lengths, seed):
         assert list(kernels.enumerate_covers(masks, prefix, verdicts)) == sums
 
 
+def every_prefix(n, length):
+    """All in-range prefixes of ``length`` choices, in lexicographic order."""
+    masks = _axis_choice_masks(n)
+    return itertools.product(*(range(len(masks[d])) for d in range(length)))
+
+
+def test_every_prefix_n3():
+    check_under_every_label(3, [p for length in range(4) for p in every_prefix(3, length)])
+
+
+def test_every_prefix_n5():
+    check_under_every_label(5, [p for length in range(6) for p in every_prefix(5, length)])
+
+
+@pytest.mark.parametrize(
+    "n, lengths", [(3, range(4)), (5, range(6)), (7, (1, 2))], ids=["3", "5", "7"]
+)
+def test_prefix_parts_add_up_to_the_stream(n, lengths):
+    # The streams of all prefixes of one length, joined in lexicographic
+    # order, are the full stream: each branch lies below exactly one of them.
+    masks = _axis_choice_masks(n)
+    full = list(kernels.enumerate_covers(masks))
+    for length in lengths:
+        parts = [kernels.enumerate_covers(masks, prefix) for prefix in every_prefix(n, length)]
+        assert list(itertools.chain.from_iterable(parts)) == full
+
+
+def check_prefixes_under_every_label(n, lengths, seed):
+    """Prefixes of the given lengths, cut from seeded branches, plus random
+    in-range prefixes (the longer ones mostly conflict), walked with each
+    kind of label against the oracle's branches."""
+    masks = _axis_choice_masks(n)
+    rng = random.Random(seed)
+    branches = [random_branch(n, rng) for _ in range(20)]
+    prefixes = {b[:length] for b in branches for length in lengths}
+    prefixes |= {
+        tuple(rng.randrange(len(masks[d])) for d in range(length))
+        for length in lengths
+        for _ in range(20)
+    }
+    check_under_every_label(n, sorted(prefixes))
+
+
 def test_prefixes_around_tail_depth_n7():
     # Every length: 0-2 walk down to axis n-4, 3 (n-4) starts at the
-    # two-axis loop, 4 (n-3) at the one-axis loop, 5 (n-2) at the lookup,
-    # 6 and 7 scan the last axis or yield the prefix itself.
+    # two-axis loop, 4 (n-3) walks one axis down to the tails, and 5-7
+    # (n-2 and up) read the tails at once, pinned on the prefix's axes
+    # n-2 and n-1.
     check_prefixes_under_every_label(7, range(8), seed=7)
 
 
 def test_prefixes_around_tail_depth_n9():
-    # Length 5 (n-4) starts at the two-axis loop, 6 (n-3) at the one-axis loop.
+    # Length 5 (n-4) starts at the two-axis loop, 6 (n-3) one axis above
+    # the tails.
     check_prefixes_under_every_label(9, (5, 6), seed=9)
+
+
+def test_prefixes_near_the_end_n11():
+    # Lengths n-3 to n: one walked axis, then none with the tails unpinned,
+    # pinned on axis n-2, and pinned on both.
+    check_prefixes_under_every_label(11, range(8, 12), seed=11)
 
 
 @pytest.mark.parametrize("first", [0, 52, 104])
@@ -122,9 +160,9 @@ def dead_ends(n, length, seed, tries=3000):
 @pytest.mark.parametrize("n, length", [(7, 5), (9, 6)])
 def test_dead_end_prefixes(monkeypatch, n, length):
     # At n=9 the empty axis is the last walked one, n-3, so the root's
-    # filter prunes. At n=7 no walked axis ever empties (every n=7 node was
-    # checked), so the empty axis is the penultimate one and the lookup
-    # finds nothing. Either way the walk is never entered.
+    # filter prunes and the walk is never entered. At n=7 no walked axis
+    # ever empties (every n=7 node was checked), so the empty axis is the
+    # penultimate one: the walk starts there and finds no tail.
     prefixes = dead_ends(n, length, seed=n)
     assert len(prefixes) >= 5
     masks = _axis_choice_masks(n)
@@ -133,7 +171,8 @@ def test_dead_end_prefixes(monkeypatch, n, length):
         raise AssertionError("walked below a dead end")
 
     with monkeypatch.context() as patch:
-        patch.setattr(kernels, "_walk", no_walk)
+        if length <= n - 3:
+            patch.setattr(kernels, "_walk", no_walk)
         for prefix in prefixes:
             assert list(kernels.enumerate_covers(masks, prefix)) == []
             assert oracle_branches(n, prefix) == []
