@@ -10,10 +10,11 @@ one bitmask over unordered-pair slots per candidate matching.
 
 Each candidate also has a label, and a cover is yielded as the sum of its
 picks' labels, built up as the walk descends. With the 1-tuple ``(c,)``
-as the label of candidate c, the default, the sum is the tuple of picked
-indices, the branch ``scheme_branches`` streams. With the 1-tuple of
-candidate c's ``Matching``, the sum is the tuple of the picked matchings,
-which ``enumerate_schemes`` makes a Scheme. With each matching's verdict
+as the label of candidate c, the default (``_Labels`` over the indices),
+the sum is the tuple of picked indices, the branch ``scheme_branches``
+streams. With the 1-tuple of candidate c's ``Matching`` (``_Labels`` over
+the matchings), the sum is the tuple of the picked matchings, which
+``enumerate_schemes`` makes a Scheme. With each matching's verdict
 mask as its label, the sum is the scheme's whole verdict mask, which
 ``verify.census`` classifies without ever seeing the branch.
 
@@ -30,7 +31,6 @@ decided in ``oddcross.verify`` by the Plücker criterion.
 """
 
 import sys
-from functools import lru_cache
 from operator import getitem, index
 
 from .errors import ChoiceRangeError
@@ -62,11 +62,22 @@ def _check_choice(axis_masks, d, choice):
     return choice
 
 
-@lru_cache(maxsize=None)
-def _index_labels(size):
-    """The labels ``(c,)`` of candidates 0..size-1: summed along a branch,
-    the tuple of its picks. One table per size, shared by all its axes."""
-    return tuple((c,) for c in range(size))
+class _Labels(dict):
+    """Candidate c of one axis -> the walk label ``(items[c],)``, built on
+    first use and kept for one call: a walk that reaches a few of n=13's
+    10,395 candidates per axis builds a few 1-tuples, not all of them.
+    Over ``range(len(masks))`` the labels are the indices ``(c,)``, the
+    default; over an axis's matchings, their ``Matching`` 1-tuples."""
+
+    __slots__ = ("items",)
+
+    def __init__(self, items):
+        super().__init__()
+        self.items = items
+
+    def __missing__(self, c):
+        label = self[c] = (self.items[c],)
+        return label
 
 
 def enumerate_covers(axis_masks, prefix=(), labels=None):
@@ -77,8 +88,9 @@ def enumerate_covers(axis_masks, prefix=(), labels=None):
     axis such that all masks are disjoint. ``labels[d][c]`` is the label of
     candidate c of axis d, and each branch is yielded as the sum of its
     picks' labels in axis order, starting from the labels' empty value
-    ``type(label)()``. By default the label of c is ``(c,)``, so a branch
-    is yielded as the tuple of its candidate indices.
+    ``type(label)()``. By default the label of c is ``(c,)``, one lazy
+    ``_Labels`` table per axis, so a branch is yielded as the tuple of its
+    candidate indices.
 
     ``prefix`` pins the first choices, and the call yields exactly the
     branches that begin with it. Every prefix length, up to a whole branch,
@@ -165,7 +177,7 @@ def enumerate_covers(axis_masks, prefix=(), labels=None):
             return
         used |= mask
     if labels is None:
-        labels = [_index_labels(len(masks)) for masks in axis_masks]
+        labels = [_Labels(range(len(masks))) for masks in axis_masks]
     branch = sum(map(getitem, labels, walked), type(labels[0][0])())
 
     penultimate, last = (

@@ -53,8 +53,12 @@ class Dimension:
 
     def __post_init__(self):
         n = self.n
-        if not isinstance(n, int):
-            raise SchemeValidationError(f"dimension must be an int, got {n!r}")
+        if type(n) is not int:  # an int-like n (a numpy integer) is kept as its int
+            try:
+                n = index(n)
+            except TypeError:
+                raise SchemeValidationError(f"dimension must be an int, got {n!r}") from None
+            object.__setattr__(self, "n", n)
         if n < 3:
             raise DimensionTooSmallError(f"need at least 3 dimensions, got {n}")
         if n % 2 == 0:
@@ -407,6 +411,26 @@ def _check_limit(limit: Optional[int]) -> Optional[int]:
     return limit
 
 
+def _covers(dim: Dimension, prefix: Sequence[int], limit: Optional[int], labels_of=None):
+    """The set-up of the three cover streams, ``scheme_branches``,
+    ``enumerate_schemes`` and ``verify.census``: the first ``limit`` covers
+    of ``kernels.enumerate_covers`` below ``prefix``, each the sum of its
+    picks' labels, ``labels_of(n)`` (the kernel's index labels when None).
+
+    The one error order of the three: a ``dim`` that is not a Dimension
+    (DimensionTypeError), then ``limit`` (LimitError), then the matching
+    budget (TooManyMatchingsError, from ``_axis_choice_masks`` before any
+    matching or label is built), then ``prefix``, which the kernel checks
+    (ChoiceRangeError). The streams are generator functions that call this
+    in their body, so every error arrives at their first ``next()``.
+    """
+    n = _check_dim(dim)
+    limit = _check_limit(limit)
+    axis_masks = _axis_choice_masks(n)
+    labels = labels_of(n) if labels_of else None
+    return islice(kernels.enumerate_covers(axis_masks, prefix, labels), limit)
+
+
 def scheme_branches(
     dim: Dimension,
     *,
@@ -422,28 +446,15 @@ def scheme_branches(
     matchings as int masks, no ``Matching`` among them: 135k over all axes
     at n=13, about 0.4 s and a 26 MB peak RSS to the first three branches
     (Python 3.11 on 2 shared cores). From n=15 on (2.0M at n=15, 34.5M at
-    n=17) they are refused with TooManyMatchingsError instead.
+    n=17) they are refused with TooManyMatchingsError instead. Errors
+    arrive at the first ``next()``, in the order of ``_covers``.
     """
-    n = _check_dim(dim)
-    limit = _check_limit(limit)
-    covers = kernels.enumerate_covers(_axis_choice_masks(n), prefix)
-    yield from islice(covers, limit)
+    yield from _covers(dim, prefix, limit)
 
 
-class _Labels(dict):
-    """Candidate c of one axis -> the walk label ``(matchings[c],)``, built
-    on first use and kept for one scan: a scan that reaches a few of n=13's
-    10,395 matchings per axis builds a few 1-tuples, not all of them."""
-
-    __slots__ = ("matchings",)
-
-    def __init__(self, matchings: Tuple[Matching, ...]):
-        super().__init__()
-        self.matchings = matchings
-
-    def __missing__(self, c: int) -> Tuple[Matching]:
-        label = self[c] = (self.matchings[c],)
-        return label
+def _matching_labels(n: int):
+    """Per axis, the lazy ``(Matching,)`` labels of its candidates."""
+    return [kernels._Labels(_axis_matchings(n, axis)) for axis in range(1, n + 1)]
 
 
 def enumerate_schemes(
@@ -463,20 +474,13 @@ def enumerate_schemes(
     branch that ``scheme_branches`` streams in its place.
 
     The walk labels each candidate with the 1-tuple of its ``Matching``
-    (``_Labels``), so ``kernels.enumerate_covers`` yields each scheme
-    as the tuple of its matchings, and each Scheme is that tuple, built
-    without the check that ``Scheme(...)`` runs: the kernel's branches are
-    valid by construction. Errors arrive at the first ``next()``: a
-    ``dim`` that is not a Dimension (DimensionTypeError), the matching
-    budget (TooManyMatchingsError), then ``limit`` (LimitError), then
-    ``prefix`` (ChoiceRangeError).
+    (``kernels._Labels``), so ``kernels.enumerate_covers`` yields each
+    scheme as the tuple of its matchings, and each Scheme is that tuple,
+    built without the check that ``Scheme(...)`` runs: the kernel's
+    branches are valid by construction. Errors arrive at the first
+    ``next()``, in the order of ``_covers``.
     """
-    n = _check_dim(dim)
-    axis_masks = _axis_choice_masks(n)  # refuses too many matchings before any is built
-    limit = _check_limit(limit)
-    labels = [_Labels(_axis_matchings(n, axis)) for axis in range(1, n + 1)]
-    covers = kernels.enumerate_covers(axis_masks, prefix, labels)
-    yield from map(partial(tuple.__new__, Scheme), islice(covers, limit))
+    yield from map(partial(tuple.__new__, Scheme), _covers(dim, prefix, limit, _matching_labels))
 
 
 def is_closed(scheme: Scheme) -> bool:

@@ -23,7 +23,7 @@ from .errors import (
     SelfPairError,
     TensorValidationError,
 )
-from .schemes import Dimension, Pair, Scheme, _check_dim, pair_index
+from .schemes import Dimension, Pair, Scheme, _check_dim, _int_pair, pair_index
 
 Vector = Sequence
 
@@ -33,9 +33,13 @@ def orient_pair(pair: Pair, axis: int) -> Tuple[int, int]:
 
     Even means even relative to the ascending sort of the three indices,
     so e_first x e_second = +e_axis. The ordering flips exactly when the
-    axis falls strictly between the two pair members.
+    axis falls strictly between the two pair members. The members may come
+    in either order; equal members raise SchemeValidationError, as in
+    ``make_pair``.
     """
     lo, hi = pair
+    if lo >= hi:
+        lo, hi = _int_pair(lo, hi)
     if axis == lo or axis == hi:
         raise SelfPairError(f"axis {axis} collides with pair {lo}-{hi}")
     if lo < axis < hi:

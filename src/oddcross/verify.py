@@ -25,13 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, count, islice, product, repeat, starmap
+from itertools import combinations, count, product, repeat, starmap
 from operator import mul
 from typing import Iterator, NamedTuple, Optional, TextIO, Tuple
 
 from .errors import SchemeTensorMismatchError
-from .kernels import enumerate_covers
-from .schemes import Dimension, Scheme, _axis_choice_masks, _check_dim, _check_limit, _slots
+from .schemes import Dimension, Scheme, _axis_choice_masks, _covers, _slots
 from .tensor import StructureTensor, Vector, _check_vectors, dot, orient_pair
 
 CENSUS_CSV_HEADER = ("scheme_id", "closed", "orthogonality_zero", "xab_zero", "witness")
@@ -476,14 +475,11 @@ def census(
     orientation (see ``tensor_verdict``). No Scheme, StructureTensor or
     branch tuple is built: the exact-cover walk labels each matching with
     its verdict mask (``_matching_masks``) and yields each scheme's sum of
-    them, its whole verdict mask, and ``_verdict`` reads that.
+    them, its whole verdict mask, and ``_verdict`` reads that. Errors
+    arrive at the first ``next()``, in the order of ``schemes._covers``.
     """
-    n = _check_dim(dim)
-    limit = _check_limit(limit)
-    labels = _matching_masks(n)  # first, to refuse too many matchings
-    layout = _layout(n)
-    masks = enumerate_covers(_axis_choice_masks(n), labels=labels)
-    verdicts = map(_verdict, repeat(layout), islice(masks, limit))
+    masks = _covers(dim, (), limit, _matching_masks)
+    verdicts = map(_verdict, repeat(_layout(dim.n)), masks)
     for scheme_id, verdict in enumerate(verdicts, 1):
         # tuple.__new__ skips the NamedTuple's Python-level __new__.
         yield tuple.__new__(CensusRecord, (scheme_id,) + verdict)

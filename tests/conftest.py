@@ -12,6 +12,16 @@ ROW20_7D = "26 34 57 / 16 37 45 / 14 27 56 / 13 25 67 / 17 24 36 / 12 35 47 / 15
 ROW2_7D = "23 45 67 / 13 47 56 / 12 46 57 / 15 27 36 / 14 26 37 / 17 25 34 / 16 24 35"
 
 
+class Index:
+    """An int-like value that is not an int, as numpy integers are."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
 def random_branch(n, rng):
     """A uniformly ordered depth-first exact cover: a random scheme's branch."""
     masks = _axis_choice_masks(n)

@@ -43,6 +43,7 @@ from oddcross import (
 from oddcross.schemes import _axis_choice_masks, scheme_branches
 
 import matchings_oracle
+from conftest import Index
 
 
 def as_pair_lists(scheme):
@@ -67,9 +68,9 @@ class TestFeasibility:
         with pytest.raises(DimensionTooSmallError):
             feasible_dimension(n)
 
-    @pytest.mark.parametrize("n", ["7", None])
+    @pytest.mark.parametrize("n", ["7", None, 7.0])
     def test_non_int_rejected(self, n):
-        # Both used to raise a bare TypeError from (n - 1) // 2.
+        # "7" and None used to raise a bare TypeError from (n - 1) // 2.
         with pytest.raises(SchemeValidationError, match="must be an int"):
             feasible_dimension(n)
 
@@ -84,6 +85,13 @@ class TestFeasibility:
     def test_dimension_checks_its_fields(self, n, error):
         with pytest.raises(error):
             Dimension(n)
+
+    def test_int_like_n_kept_as_its_int(self):
+        dim = feasible_dimension(Index(7))
+        assert type(dim.n) is int and dim == Dimension(7) and hash(dim) == hash(Dimension(7))
+        assert dim.matchings_per_axis == 15
+        with pytest.raises(DimensionTooSmallError, match="got 1$"):
+            Dimension(True)
 
     def test_n_is_the_only_field(self):
         # pairs_per_axis used to be a second field that had to agree with n.
@@ -359,6 +367,29 @@ class TestEnumeration:
 
     def test_int_like_limit(self, dim5):
         assert len(list(scheme_branches(dim5, limit=True))) == 1
+
+    @pytest.mark.parametrize(
+        "stream,dim,kwargs,error",
+        [
+            pytest.param(stream, dim, kwargs, error, id=f"{stream.__name__}-{case}")
+            for stream in (scheme_branches, enumerate_schemes, census)
+            for case, dim, kwargs, error in [
+                ("dim-before-limit", 15, {"limit": 0}, DimensionTypeError),
+                ("limit-before-budget", feasible_dimension(15), {"limit": 0}, LimitError),
+                ("budget", feasible_dimension(15), {}, TooManyMatchingsError),
+                ("limit-before-prefix", feasible_dimension(5), {"limit": 0, "prefix": (99,)},
+                 LimitError),
+                ("budget-before-prefix", feasible_dimension(15), {"prefix": (99,)},
+                 TooManyMatchingsError),
+            ]
+            if stream is not census or "prefix" not in kwargs  # census takes no prefix
+        ],
+    )
+    def test_one_error_order(self, stream, dim, kwargs, error):
+        # dim, limit, the matching budget, then prefix (``schemes._covers``):
+        # one order for all three streams, each error at the first next().
+        with pytest.raises(error):
+            next(stream(dim, **kwargs))
 
     def test_prefix_partitions_cover_stream(self, dim5, dim7):
         full = list(scheme_branches(dim5))

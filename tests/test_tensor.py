@@ -3,7 +3,7 @@ import pickle
 import random
 
 import pytest
-from conftest import ROW11_7D, random_branch
+from conftest import ROW11_7D, Index, random_branch
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -49,6 +49,8 @@ class TestOrientPair:
             ((2, 4), 1, (2, 4)),
             ((4, 5), 2, (4, 5)),
             ((1, 2), 3, (1, 2)),
+            # Reversed: e4 x e2 = -e1, so it must not come back as it came.
+            ((4, 2), 1, (2, 4)),
         ],
     )
     def test_examples(self, pair, axis, expected):
@@ -57,6 +59,22 @@ class TestOrientPair:
     def test_axis_collision(self):
         with pytest.raises(SelfPairError):
             orient_pair(Pair(1, 3), 1)
+
+    def test_either_member_order_agrees_with_lookup(self, tensor7_row11, tensor7_row2):
+        n = 7
+        for lo in range(1, n + 1):
+            for hi in range(lo + 1, n + 1):
+                for axis in set(range(1, n + 1)) - {lo, hi}:
+                    first, second = orient_pair((lo, hi), axis)
+                    assert orient_pair((hi, lo), axis) == (first, second)
+                    for tensor in (tensor7_row11, tensor7_row2):
+                        if tensor.lookup(lo, hi).axis == axis:
+                            assert tensor.lookup(first, second) == TensorEntry(axis, 1)
+
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_equal_members_rejected(self, axis):
+        with pytest.raises(SchemeValidationError, match="pair members must differ, got 2-2"):
+            orient_pair((2, 2), axis)
 
     def test_even_permutation_property(self):
         # (first, second, axis) must sort back to ascending in an even
@@ -453,13 +471,3 @@ class TestTensorTuple:
         assert type(scheme) is Scheme and scheme == scheme7_row11
         assert scheme.slots == scheme7_row11.slots
         assert tensor.cross(unit(7, 1), unit(7, 2)) == tensor7_row11.cross(unit(7, 1), unit(7, 2))
-
-
-class Index:
-    """An int-like value that is not an int, as numpy integers are."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def __index__(self):
-        return self.value
